@@ -4,9 +4,6 @@
 //
 //	go test -bench=. -benchmem                   # everything (minutes)
 //	go test -bench BenchmarkTable1 -benchtime 1x # one pass of Table 1
-//
-// EXPERIMENTS.md records representative output and compares its shape to
-// the paper's numbers.
 package esd_test
 
 import (
@@ -21,7 +18,7 @@ import (
 	"esd/internal/search"
 )
 
-// benchCfg is the scaled-down 1-hour cap (see DESIGN.md). Raise the
+// benchCfg scales the paper's 1-hour per-bug cap down to 20s. Raise the
 // timeout for paper-scale runs (esdexp -timeout accepts any cap).
 func benchCfg() exp.Config {
 	return exp.Config{Timeout: 20 * time.Second, Seed: 1}

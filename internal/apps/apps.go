@@ -7,8 +7,7 @@
 // locking discipline, the same overflow pattern, the same error-handling
 // path — surrounded by realistic distractor logic so the synthesis search
 // problem is non-trivial. Program sizes are scaled down but ordered like
-// the originals (SQLite largest, mkfifo smallest). See DESIGN.md for the
-// substitution argument.
+// the originals (SQLite largest, mkfifo smallest).
 //
 // Each App carries the concrete inputs with which "the user" hit the bug;
 // the user-site simulator (internal/usersite) runs the program under random

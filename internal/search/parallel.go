@@ -605,7 +605,6 @@ func (r *parallelRun) progress(now time.Time) {
 func (r *parallelRun) collect(workers []*parallelWorker, n int) *Result {
 	res := &Result{
 		Terminals:  map[symex.StateStatus]int64{},
-		Seed:       r.opts.Seed,
 		Workers:    n,
 		DedupDrops: r.dedupDrops.Load(),
 		Sheds:      r.sheds.Load(),

@@ -21,9 +21,7 @@
 // other's shards, a cross-worker dedup set suppresses re-exploration,
 // and the first worker to reach the goal cancels the rest. Parallelism
 // <= 1 runs the unchanged sequential searcher — the bit-identity
-// guarantee is "same code", not "equivalent code". Racing whole seeds
-// against each other (portfolio mode) lives a layer up, in the public
-// engine; Options.Portfolio only rides through this package.
+// guarantee is "same code", not "equivalent code".
 package search
 
 import (
@@ -130,11 +128,6 @@ type Options struct {
 	// pick-count cadence (never wall-clock), so two runs with the same seed
 	// record identical traces. A nil Recorder costs one pointer check.
 	Recorder *telemetry.Recorder
-	// BatchWorkers caps the engine's batch worker pool for one
-	// SynthesizeBatch call (0 = the engine default). The search itself
-	// ignores it; it rides in the canonical options record so every layer
-	// speaks one type.
-	BatchWorkers int
 	// ProgressInterval is the minimum spacing of periodic progress events
 	// (default 250ms). Phase transitions are always delivered.
 	ProgressInterval time.Duration
@@ -146,12 +139,6 @@ type Options struct {
 	// searcher — the deterministic baseline a parallel run's winner is
 	// replayed against.
 	Parallelism int
-	// Portfolio, when > 1, asks the public engine to race that many seed
-	// variants of this search and keep the first to find the goal. The
-	// search itself ignores it (like BatchWorkers, it rides in the
-	// canonical options record); the engine strips it before the
-	// per-variant runs.
-	Portfolio int
 	// Solvers, when non-nil, supplies warm solvers for the extra workers
 	// of a frontier-parallel search (worker 0 uses Solver when set).
 	// Workers fall back to fresh solvers when it is nil.
@@ -162,16 +149,14 @@ type Options struct {
 	// frontier worker's) is attached to it for the run and detached
 	// before pooled solvers are returned, so siblings reuse each other's
 	// component verdicts instead of re-solving them. The engine creates
-	// one per synthesis and hands the same instance to every portfolio
-	// variant. Sharing is deterministic — verdicts are pure functions of
-	// the component — so attaching it keeps n=1/k=1 bit-identical to
-	// sequential.
+	// one per synthesis. Sharing is deterministic — verdicts are pure
+	// functions of the component — so attaching it keeps n=1
+	// bit-identical to sequential.
 	SharedCache *solver.SharedCache
 	// PruneFacts, when non-nil, is the request-scoped shared memo of
 	// infinite-distance prune verdicts (see PruneFacts). Like SharedCache
-	// it is created by the engine and shared across workers and portfolio
-	// variants; verdicts depend on the report's goals, so it must never
-	// cross requests.
+	// it is created by the engine and shared across workers; verdicts
+	// depend on the report's goals, so it must never cross requests.
 	PruneFacts *PruneFacts
 	// PersistCache, when non-nil, is the cross-run persistent solver fact
 	// tier (scoped by the engine to this program's fingerprint). Every
@@ -340,12 +325,6 @@ type Result struct {
 	SnapshotsActivated int
 	EagerForks         int
 
-	// Seed is the seed this result was actually produced with. For a
-	// plain run it echoes Options.Seed; the engine's portfolio driver
-	// overwrites it with the winning variant's seed, which is what makes
-	// the race strictly double-replayable (replay the winner, not the
-	// race).
-	Seed int64
 	// Workers is the number of frontier workers that ran the search (1
 	// for the sequential searcher); WorkerWall attributes per-worker wall
 	// time and work when Workers > 1. DedupDrops counts forks dropped by
@@ -478,7 +457,6 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 	res := &Result{
 		IntermediateGoalSets: pl.nInter,
 		Terminals:            map[symex.StateStatus]int64{},
-		Seed:                 opts.Seed,
 		Workers:              1,
 	}
 	var found *symex.State

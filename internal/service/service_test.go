@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -586,11 +587,12 @@ func TestServiceBadRequests(t *testing.T) {
 		body any
 		want int
 	}{
-		{"/synthesize", map[string]any{}, http.StatusBadRequest},                              // no program
-		{"/synthesize", map[string]any{"app": "nosuch"}, http.StatusBadRequest},               // unknown app
-		{"/synthesize", map[string]any{"program_id": "zz"}, http.StatusBadRequest},            // unknown id
-		{"/compile", map[string]any{"source": "int main( {"}, http.StatusUnprocessableEntity}, // syntax error
-		{"/batch", map[string]any{"app": "listing1", "reports": []string{}}, http.StatusOK},   // app fallback report
+		{"/synthesize", map[string]any{}, http.StatusBadRequest},                                // no program
+		{"/synthesize", map[string]any{"app": "nosuch"}, http.StatusBadRequest},                 // unknown app
+		{"/synthesize", map[string]any{"program_id": "zz"}, http.StatusBadRequest},              // unknown id
+		{"/compile", map[string]any{"source": "int main( {"}, http.StatusUnprocessableEntity},   // syntax error
+		{"/batch", map[string]any{"app": "listing1", "reports": []string{}}, http.StatusOK},     // app fallback report
+		{"/batch", map[string]any{"app": "listing1", "parallelism": -1}, http.StatusBadRequest}, // negative parallelism
 	}
 	for _, c := range cases {
 		resp, body := postJSON(t, ts.URL+c.path, c.body)
@@ -619,11 +621,10 @@ func TestServiceBadRequests(t *testing.T) {
 	}
 }
 
-// TestServiceParallelAndPortfolio drives the intra-synthesis parallelism
-// options over the wire: a frontier-parallel request reports its worker
-// count, a portfolio request reports its winning seed, and both are
-// capped by the server's MaxParallelism.
-func TestServiceParallelAndPortfolio(t *testing.T) {
+// TestServiceParallelism drives the intra-synthesis parallelism option
+// over the wire: a frontier-parallel request reports its worker count,
+// capped by the server's MaxParallelism, and a negative value is a 400.
+func TestServiceParallelism(t *testing.T) {
 	ts := newTestServer(t, Config{MaxParallelism: 2})
 
 	resp, body := postJSON(t, ts.URL+"/synthesize", map[string]any{
@@ -633,8 +634,7 @@ func TestServiceParallelAndPortfolio(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
 	var res struct {
-		Found bool  `json:"found"`
-		Seed  int64 `json:"seed"`
+		Found bool `json:"found"`
 		Stats struct {
 			Workers int `json:"workers"`
 		} `json:"stats"`
@@ -650,22 +650,6 @@ func TestServiceParallelAndPortfolio(t *testing.T) {
 	}
 
 	resp, body = postJSON(t, ts.URL+"/synthesize", map[string]any{
-		"app": "listing1", "budget_ms": 60000, "seed": 5, "portfolio": 2,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatalf("bad response %s: %v", body, err)
-	}
-	if !res.Found {
-		t.Fatalf("portfolio listing1 not found: %s", body)
-	}
-	if res.Seed != 5 && res.Seed != 6 {
-		t.Errorf("portfolio winner seed = %d, want 5 or 6", res.Seed)
-	}
-
-	resp, body = postJSON(t, ts.URL+"/synthesize", map[string]any{
 		"app": "listing1", "parallelism": -1,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -673,50 +657,56 @@ func TestServiceParallelAndPortfolio(t *testing.T) {
 	}
 }
 
-// TestServiceParallelismPortfolioProductCap rejects requests whose
-// parallelism × portfolio product exceeds MaxParallelism: the axes
-// multiply (every portfolio variant runs its own frontier workers), so
-// capping them independently would admit up to MaxParallelism² workers
-// and defeat admission control.
-func TestServiceParallelismPortfolioProductCap(t *testing.T) {
-	ts := newTestServer(t, Config{MaxParallelism: 4})
-
-	// Each axis is within the cap, but the product (4 workers × 2
-	// variants = 8) is not: 400, on both /synthesize and /batch.
-	over := map[string]any{
-		"app": "listing1", "budget_ms": 60000, "parallelism": 4, "portfolio": 2,
-	}
-	resp, body := postJSON(t, ts.URL+"/synthesize", over)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over-product /synthesize: status %d, want 400: %s", resp.StatusCode, body)
-	}
-	rep, err := apps.Get("listing1").Coredump()
+// TestServiceRetiredOptionIgnored posts a request body that still carries
+// an option older servers accepted (testdata/retired_option_request.json):
+// the field is ignored, so the request runs one sequential search with
+// the requested seed. Job records persisted by older servers hold such
+// bodies, and runJob — which every non-streaming /synthesize goes
+// through — must keep decoding them after an upgrade.
+func TestServiceRetiredOptionIgnored(t *testing.T) {
+	body, err := os.ReadFile("testdata/retired_option_request.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	repJSON, _ := rep.Encode()
-	resp, body = postJSON(t, ts.URL+"/batch", map[string]any{
-		"app": "listing1", "parallelism": 4, "portfolio": 2,
-		"reports": []json.RawMessage{repJSON},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("over-product /batch: status %d, want 400: %s", resp.StatusCode, body)
+	// The fixture must still exercise the retired field: a strict decode
+	// into today's request type has to reject it.
+	strict := json.NewDecoder(bytes.NewReader(body))
+	strict.DisallowUnknownFields()
+	if err := strict.Decode(&synthesizeRequest{}); err == nil {
+		t.Fatalf("fixture carries no field unknown to synthesizeRequest: %s", body)
 	}
-
-	// A combination whose product fits the cap still runs.
-	resp, body = postJSON(t, ts.URL+"/synthesize", map[string]any{
-		"app": "listing1", "budget_ms": 60000, "seed": 1, "parallelism": 2, "portfolio": 2,
-	})
+	var req synthesizeRequest
+	if err := json.Unmarshal(body, &req); err != nil || req.Seed == 0 {
+		t.Fatalf("fixture must carry a nonzero seed (err %v): %s", err, body)
+	}
+	ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/synthesize", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("in-cap product: status %d: %s", resp.StatusCode, body)
+		t.Fatalf("status %d: %s", resp.StatusCode, buf.Bytes())
 	}
 	var res struct {
-		Found bool `json:"found"`
+		Found bool  `json:"found"`
+		Seed  int64 `json:"seed"`
+		Stats struct {
+			Workers int `json:"workers"`
+		} `json:"stats"`
 	}
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatalf("bad response %s: %v", body, err)
+	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+		t.Fatalf("bad response %s: %v", buf.Bytes(), err)
 	}
 	if !res.Found {
-		t.Errorf("in-cap product listing1 not found: %s", body)
+		t.Fatalf("listing1 not found: %s", buf.Bytes())
+	}
+	if res.Seed != req.Seed {
+		t.Errorf("seed = %d, want the requested seed %d", res.Seed, req.Seed)
+	}
+	if res.Stats.Workers != 1 {
+		t.Errorf("workers = %d, want one sequential search", res.Stats.Workers)
 	}
 }
