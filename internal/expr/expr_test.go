@@ -150,19 +150,39 @@ func TestHashEqualConsistency(t *testing.T) {
 
 // randomTerm builds a random term over vars x,y with bounded depth.
 func randomTerm(r *rand.Rand, depth int) *Expr {
+	return randomTermOver(r, depth, "x", "y")
+}
+
+// edgeConsts are leaf constants that sit on the definedness boundaries of
+// division, remainder and shifts: zero divisors, negative and out-of-range
+// shift amounts.
+var edgeConsts = []int64{0, -1, 63, 64, 65, -64, 1 << 40}
+
+// randomTermOver builds a random term over the given variables with bounded
+// depth, drawing from every arithmetic, comparison and logical operator,
+// the unary operators and if-then-else.
+func randomTermOver(r *rand.Rand, depth int, vars ...string) *Expr {
 	if depth == 0 || r.Intn(4) == 0 {
-		switch r.Intn(3) {
+		switch n := r.Intn(len(vars) + 2); n {
 		case 0:
 			return Const(int64(r.Intn(21) - 10))
 		case 1:
-			return Var("x")
+			return Const(edgeConsts[r.Intn(len(edgeConsts))])
 		default:
-			return Var("y")
+			return Var(vars[n-2])
 		}
 	}
-	ops := []Op{OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpLAnd, OpLOr}
+	sub := func() *Expr { return randomTermOver(r, depth-1, vars...) }
+	switch r.Intn(8) {
+	case 0:
+		return Unary([]Op{OpNeg, OpNot, OpBNot}[r.Intn(3)], sub())
+	case 1:
+		return Ite(sub(), sub(), sub())
+	}
+	ops := []Op{OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr,
+		OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpLAnd, OpLOr}
 	op := ops[r.Intn(len(ops))]
-	return Binary(op, randomTerm(r, depth-1), randomTerm(r, depth-1))
+	return Binary(op, sub(), sub())
 }
 
 // Property: simplification preserves meaning — a randomly built term and
@@ -190,6 +210,37 @@ func TestSimplificationSoundness(t *testing.T) {
 		if got != want {
 			t.Fatalf("iter %d: %v: eval=%d substituted=%d (x=%d y=%d)", i, e, want, got, xv, yv)
 		}
+	}
+}
+
+// Property: for a single-variable term, a defined concrete evaluation and
+// substitution agree exactly — e.Eval({x: val}) = k implies that
+// substituting val for x folds all the way down to the interned Const(k).
+// The solver's case split relies on this to reject a candidate by
+// evaluating a conjunct instead of rewriting the whole constraint set, so
+// unlike TestSimplificationSoundness a non-constant result that merely
+// evaluates equal is a failure here.
+func TestEvalDefinedImpliesSubstituteConst(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	vals := []int64{0, 1, -1, 2, 7, 63, 64, 65, -64, 1 << 40}
+	defined := 0
+	for i := 0; i < 20000; i++ {
+		e := randomTermOver(r, 5, "x")
+		val := int64(r.Intn(41) - 20)
+		if r.Intn(3) == 0 {
+			val = vals[r.Intn(len(vals))]
+		}
+		want, err := e.Eval(map[string]int64{"x": val})
+		if err != nil {
+			continue
+		}
+		defined++
+		if got := e.Substitute("x", Const(val)); got != Const(want) {
+			t.Fatalf("iter %d: %v at x=%d: Eval=%d but Substitute gave %v", i, e, val, want, got)
+		}
+	}
+	if defined < 10000 {
+		t.Fatalf("only %d of 20000 terms evaluated: the generator no longer exercises the property", defined)
 	}
 }
 

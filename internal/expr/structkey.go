@@ -1,5 +1,7 @@
 package expr
 
+import "cmp"
+
 // This file implements the canonical structural fingerprint of a term: a
 // 128-bit key that is a pure function of the term's structure (operator,
 // constant value, variable *names*, and the keys of its children). Unlike
@@ -31,18 +33,16 @@ package expr
 const StructKeyVersion = 1
 
 // StructKey is a 128-bit canonical structural fingerprint. It is
-// comparable (usable as a map key) and has a total order (Less) so key
+// comparable (usable as a map key) and has a total order (Compare) so key
 // slices can be sorted into canonical form.
 type StructKey struct {
 	Hi, Lo uint64
 }
 
-// Less orders keys lexicographically by (Hi, Lo).
-func (k StructKey) Less(o StructKey) bool {
-	if k.Hi != o.Hi {
-		return k.Hi < o.Hi
-	}
-	return k.Lo < o.Lo
+// Compare orders keys lexicographically by (Hi, Lo), returning -1, 0 or +1
+// in the manner of cmp.Compare.
+func (k StructKey) Compare(o StructKey) int {
+	return cmp.Or(cmp.Compare(k.Hi, o.Hi), cmp.Compare(k.Lo, o.Lo))
 }
 
 // IsZero reports whether k is the zero key. Interned terms never have a

@@ -56,3 +56,28 @@ func BenchmarkCheckCached(b *testing.B) {
 		s.Check(cs)
 	}
 }
+
+// BenchmarkCheckCold measures a cold component solve that has to case-split:
+// the unsat division ladder and the satisfiable one-variable ladder, each on
+// a fresh solver so no cache tier answers. Nearly every candidate here is
+// refuted by a single-variable conjunct, the shape the concrete-evaluation
+// reject serves.
+func BenchmarkCheckCold(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		cs   []*expr.Expr
+		want Result
+	}{
+		{"divisionLadder", divisionLadder(), Unsat},
+		{"satLadder", satLadder(), Sat},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if res, _ := New().Check(tc.cs); res != tc.want {
+					b.Fatalf("got %v, want %v", res, tc.want)
+				}
+			}
+		})
+	}
+}

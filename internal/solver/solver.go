@@ -19,6 +19,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -381,6 +382,8 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 		}
 	}
 	res, model := st.search(cs)
+	candidatesRejected.Add(st.rejected)
+	candidatesSearched.Add(st.searched)
 	if res == Sat && !modelSatisfies(cs, model) {
 		// Verify before caching: a bogus model must not enter the cache as
 		// Sat (a single-conjunct component shares its cache key with the
@@ -402,10 +405,12 @@ func (s *Solver) checkComponent(cs []*expr.Expr) (Result, map[string]int64) {
 }
 
 // modelSatisfies reports whether the model makes every conjunct true under
-// concrete evaluation (unpinned variables default to zero).
+// concrete evaluation (unpinned variables default to zero). One completed
+// env serves every conjunct: Eval reads only the conjunct's own variables.
 func modelSatisfies(cs []*expr.Expr, model map[string]int64) bool {
+	env := completeModel(model, cs...)
 	for _, c := range cs {
-		v, err := c.Eval(completeModel(model, c))
+		v, err := c.Eval(env)
 		if err != nil || v == 0 {
 			return false
 		}
@@ -477,15 +482,18 @@ func (s *Solver) MustBeTrue(path []*expr.Expr, cond *expr.Expr) (bool, Result) {
 	return res == Unsat, res
 }
 
-// completeModel fills in zero for variables the search never needed to pin.
-func completeModel(model map[string]int64, c *expr.Expr) map[string]int64 {
+// completeModel copies the model and fills in zero for the conjuncts'
+// variables the search never needed to pin.
+func completeModel(model map[string]int64, cs ...*expr.Expr) map[string]int64 {
 	env := make(map[string]int64, len(model))
 	for k, v := range model {
 		env[k] = v
 	}
-	for _, v := range c.Vars() {
-		if _, ok := env[v]; !ok {
-			env[v] = 0
+	for _, c := range cs {
+		for _, v := range c.Vars() {
+			if _, ok := env[v]; !ok {
+				env[v] = 0
+			}
 		}
 	}
 	return env
@@ -503,7 +511,7 @@ func structKey(cs []*expr.Expr) (uint64, []expr.StructKey) {
 	for i, c := range cs {
 		keys[i] = c.StructuralKey()
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	slices.SortFunc(keys, expr.StructKey.Compare)
 	// Deduplicate: a repeated conjunct is the same constraint.
 	w := 0
 	for i, k := range keys {
@@ -604,6 +612,10 @@ type searchState struct {
 	// trail records domain overwrites for O(1)-amortized backtracking
 	// (mutate + undo instead of cloning the domain map per search node).
 	trail []trailEntry
+	// rejected and searched count case-split candidates refuted by concrete
+	// evaluation versus those searched by substitution; checkComponent adds
+	// them to the process counters once per solve.
+	rejected, searched int64
 }
 
 type trailEntry struct {
@@ -679,14 +691,42 @@ func (st *searchState) search(cs []*expr.Expr) (Result, map[string]int64) {
 
 	// Candidate values: constants from constraints mentioning v, domain
 	// endpoints, zero, midpoint.
+	//
+	// Most candidates die at once: a conjunct whose only free variable is v
+	// folds to Const(0) under the substitution. Such a candidate is rejected
+	// by evaluating those conjuncts concretely instead of rewriting the whole
+	// set. The reject is exact, not a heuristic: a defined Eval of a
+	// v-only conjunct under v=val is the Const its substitution folds to
+	// (TestEvalDefinedImpliesSubstituteConst), and a Const(0) conjunct makes
+	// the child search answer Unsat after charging one node — every other
+	// early exit of its propagate is Unsat too, and its domain writes would
+	// be undone here. So the reject charges the budget exactly as the child
+	// search would have (Unknown when none is left, else one node and Unsat),
+	// and verdicts, models and node counts stay those of the full search.
+	// An Eval error (division by zero) never rejects.
 	cands := st.candidates(cs, v, dom)
+	unit := unitConjuncts(cs, v)
+	env := map[string]int64{v: 0}
 	sawUnknown := false
 	for _, val := range cands {
-		mark := len(st.trail)
-		st.setDom(v, interval{val, val})
-		ncs := substituteAll(cs, v, val)
-		r, m := st.search(ncs)
-		st.undo(mark)
+		env[v] = val
+		var r Result
+		var m map[string]int64
+		if refutes(unit, env) {
+			st.rejected++
+			r = Unsat
+			if st.budget <= 0 {
+				r = Unknown
+			} else {
+				st.budget--
+			}
+		} else {
+			st.searched++
+			mark := len(st.trail)
+			st.setDom(v, interval{val, val})
+			r, m = st.search(substituteAll(cs, v, val))
+			st.undo(mark)
+		}
 		if r == Sat {
 			m[v] = val
 			return Sat, m
@@ -735,6 +775,33 @@ func unsatOrUnknown(sawUnknown bool) Result {
 	return Unsat
 }
 
+// unitConjuncts returns the conjuncts whose only free variable is v.
+func unitConjuncts(cs []*expr.Expr, v string) []*expr.Expr {
+	var out []*expr.Expr
+	for _, c := range cs {
+		if c.NumVars() == 1 && c.Vars()[0] == v {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// refutes reports whether some conjunct evaluates, defined, to false
+// under env.
+func refutes(cs []*expr.Expr, env map[string]int64) bool {
+	for _, c := range cs {
+		if x, err := c.Eval(env); err == nil && x == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// substituteAll rewrites v := val through the whole constraint set, for
+// propagate's singleton domains and for the case-split candidates that
+// survive search's concrete-evaluation reject. A v-only conjunct rewrites
+// to exactly the Const its defined evaluation gives, so a candidate the
+// reject let through never folds a v-only conjunct to Const(0) here.
 func substituteAll(cs []*expr.Expr, v string, val int64) []*expr.Expr {
 	out := make([]*expr.Expr, 0, len(cs))
 	// One Subst for the whole set: the memo is shared, so subtrees common

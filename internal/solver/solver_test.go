@@ -303,3 +303,123 @@ func TestPropagateLeavesInputIntact(t *testing.T) {
 		}
 	}
 }
+
+// satLadder is a satisfiable one-variable ladder mixing division and
+// remainder guards with linear bounds; its solutions are x = 41, 44 and 47.
+func satLadder() []*expr.Expr {
+	return []*expr.Expr{
+		eq(expr.Binary(expr.OpDiv, v("x"), c(8)), c(5)),
+		eq(expr.Binary(expr.OpMod, v("x"), c(3)), c(2)),
+		expr.Binary(expr.OpGe, v("x"), c(8)),
+		expr.Binary(expr.OpLe, v("x"), c(1<<40)),
+	}
+}
+
+// TestCheckBudgetEdges pins the node accounting of the case split: at every
+// MaxNodes below the first budget that decides, a fresh solver must answer
+// Unknown, and at that budget it must give exactly the recorded verdict and
+// model. The table was recorded on the solver before case splits rejected
+// candidates by concrete evaluation; the reject charges one node per
+// candidate exactly as the substituted search did, so the table must not move.
+func TestCheckBudgetEdges(t *testing.T) {
+	cases := []struct {
+		name    string
+		cs      []*expr.Expr
+		decides int // first MaxNodes that does not answer Unknown
+		res     Result
+		model   map[string]int64
+	}{
+		{"divisionLadder", divisionLadder(), 206, Unsat, nil},
+		{"satLadder", satLadder(), 171, Sat, map[string]int64{"x": 41}},
+	}
+	for _, tc := range cases {
+		for n := 1; n <= tc.decides; n++ {
+			s := New()
+			s.MaxNodes = n
+			res, model := s.Check(tc.cs)
+			want, wantModel := Unknown, map[string]int64(nil)
+			if n == tc.decides {
+				want, wantModel = tc.res, tc.model
+			}
+			if res != want || Model(model) != Model(wantModel) || (model == nil) != (wantModel == nil) {
+				t.Fatalf("%s at MaxNodes=%d: got %v %v, want %v %v", tc.name, n, res, model, want, wantModel)
+			}
+		}
+	}
+}
+
+// Property test: non-linear conjuncts — division and remainder by constants
+// (zero included) and if-then-else over one or two boxed variables — never
+// flip a verdict against brute force. A conjunct that fails to evaluate
+// (division by zero) counts as false, as in model verification; the solver
+// may answer Unknown where it cannot decide, but never the opposite verdict.
+func TestRandomNonlinearAgainstBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	const lo, hi = -6, 6
+	rels := []expr.Op{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
+	for iter := 0; iter < 400; iter++ {
+		vars := []string{"a", "b"}[:1+r.Intn(2)]
+		pick := func() *expr.Expr { return v(vars[r.Intn(len(vars))]) }
+		lin := func() *expr.Expr {
+			return expr.Binary(expr.OpAdd,
+				expr.Binary(expr.OpMul, c(int64(r.Intn(5)-2)), pick()),
+				c(int64(r.Intn(7)-3)))
+		}
+		term := func() *expr.Expr {
+			switch r.Intn(4) {
+			case 0:
+				return expr.Binary(expr.OpDiv, lin(), c(int64(r.Intn(7)-3)))
+			case 1:
+				return expr.Binary(expr.OpMod, lin(), c(int64(r.Intn(7)-3)))
+			case 2:
+				cond := expr.Binary(rels[r.Intn(len(rels))], pick(), c(int64(r.Intn(9)-4)))
+				return expr.Ite(cond, lin(), expr.Binary(expr.OpDiv, pick(), c(int64(r.Intn(5)-2))))
+			default:
+				return lin()
+			}
+		}
+		var cs []*expr.Expr
+		for _, vn := range vars {
+			cs = append(cs,
+				expr.Binary(expr.OpGe, v(vn), c(lo)),
+				expr.Binary(expr.OpLe, v(vn), c(hi)))
+		}
+		for i, n := 0, 1+r.Intn(3); i < n; i++ {
+			cs = append(cs, expr.Binary(rels[r.Intn(len(rels))], term(), c(int64(r.Intn(9)-4))))
+		}
+		want := false
+		env := map[string]int64{"a": 0, "b": 0}
+	brute:
+		for a := int64(lo); a <= hi; a++ {
+			for b := int64(lo); b <= hi; b++ {
+				env["a"], env["b"] = a, b
+				if modelSatisfies(cs, env) {
+					want = true
+					break brute
+				}
+			}
+		}
+		s := New()
+		res, model := s.Check(cs)
+		if want && res == Unsat {
+			t.Fatalf("iter %d: brute force sat but solver says unsat: %v", iter, cs)
+		}
+		if !want && res == Sat {
+			t.Fatalf("iter %d: brute force unsat but solver found model %v: %v", iter, model, cs)
+		}
+	}
+}
+
+// TestCandidateCounters checks that a cold solve reports its case-split
+// candidates: the satisfiable ladder refutes most of them by evaluation and
+// must search at least the one that satisfies it.
+func TestCandidateCounters(t *testing.T) {
+	rej, srch := candidatesRejected.Value(), candidatesSearched.Value()
+	if res, _ := New().Check(satLadder()); res != Sat {
+		t.Fatalf("satLadder: got %v, want sat", res)
+	}
+	dr, ds := candidatesRejected.Value()-rej, candidatesSearched.Value()-srch
+	if ds < 1 || dr <= ds {
+		t.Fatalf("candidates rejected=%d searched=%d: want some searched and more rejected", dr, ds)
+	}
+}

@@ -17,6 +17,10 @@ var (
 	solverCacheMisses = telemetry.NewCounterVec("esd_solver_cache_misses_total",
 		"Memoized-answer misses, by cache layer.",
 		"cache")
+	candidatesRejected = telemetry.NewCounter("esd_solver_candidates_rejected_total",
+		"Case-split candidate values refuted by concrete evaluation of a single-variable conjunct, without substitution.")
+	candidatesSearched = telemetry.NewCounter("esd_solver_candidates_searched_total",
+		"Case-split candidate values that survived the concrete-evaluation reject and were searched by substitution.")
 	solverComponentSize = telemetry.NewHistogram("esd_solver_component_size",
 		"Conjuncts per independence-partition component decided by Check.", 1)
 
