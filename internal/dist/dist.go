@@ -36,18 +36,20 @@
 //
 //  3. Stack-aware composition (Algorithm 1). A thread may reach the goal
 //     from its current frame, or return out of any number of frames and
-//     reach it from a caller. StateDistance/SyncDistance walk the live
-//     stack from the innermost frame outward, accumulating the cost of
-//     unwinding (retDist of each abandoned frame) and taking the minimum of
-//     unwind-cost + toGoal at every resume point. Frames the thread can
-//     never return out of cut the walk off, so a thread stuck below a
-//     non-returning frame is Infinite unless the goal is still ahead of it.
+//     reach it from a caller. Scorer.Min walks the live stack from the
+//     innermost frame outward, accumulating the cost of unwinding (retDist
+//     of each abandoned frame) and taking the minimum of unwind-cost +
+//     toGoal at every resume point, for every goal of its list at once.
+//     Frames the thread can never return out of cut the walk off, so a
+//     thread stuck below a non-returning frame is Infinite unless the goal
+//     is still ahead of it. StateDistance/SyncDistance are the same walk
+//     over a one-goal Scorer memoized with the goal's tables.
 //
-// The search queries one Calculator from every virtual goal queue at every
-// scheduling step, so the memoized lookup path is the hottest code in the
-// system: after the first query for a goal, both distance functions perform
-// only a read-locked map lookup and an O(stack depth) walk over precomputed
-// arrays (see BenchmarkStateDistance and BenchmarkSyncDistance).
+// Scoring frontier states is the hottest code in the system, so the search
+// resolves its goals once into a Scorer (per function: the CFG, the
+// return-distance row and every goal's to-goal row) and walks each thread's
+// stack once for all of them: one map lookup per frame, no locking (see
+// BenchmarkScorerMin, BenchmarkStateDistance and BenchmarkSyncDistance).
 package dist
 
 import (
@@ -186,6 +188,8 @@ type goalTables struct {
 	// toGoal[f][i] is the cheapest cost from instruction i of f to the
 	// goal. Functions that cannot reach the goal have no entry.
 	toGoal map[string][]int64
+	// one is the goal's single-goal Scorer (the stateDistance walk).
+	one *Scorer
 }
 
 // NewCalculator builds the goal-independent layer: flattened CFGs, the call
@@ -393,7 +397,6 @@ func (m *metric) relax(g *fnGraph, d []int64, pq *pqueue) {
 
 // tables returns (building if necessary) the memoized tables for goal.
 func (m *metric) tables(goal mir.Loc) *goalTables {
-	m.lookups.Inc()
 	m.mu.RLock()
 	gt := m.goals[goal]
 	m.mu.RUnlock()
@@ -405,7 +408,10 @@ func (m *metric) tables(goal mir.Loc) *goalTables {
 		}
 		m.mu.Unlock()
 	}
-	gt.once.Do(func() { m.computeGoal(goal, gt) })
+	gt.once.Do(func() {
+		m.computeGoal(goal, gt)
+		gt.one = m.newScorer([]*goalTables{gt})
+	})
 	return gt
 }
 
@@ -477,34 +483,88 @@ func (m *metric) intraToGoal(g *fnGraph, name string, goal mir.Loc, entry map[st
 	return d
 }
 
-// stateDistance is Algorithm 1 for one metric: the cheapest static cost
-// for a thread with the given call stack (outermost frame first, each
-// frame's Loc naming the next instruction it will execute) to reach goal.
-func (m *metric) stateDistance(stack []mir.Loc, goal mir.Loc) int64 {
-	gt := m.tables(goal)
-	best := Infinite
+// Scorer answers Algorithm 1 for a fixed list of goals in one walk of a
+// stack. It resolves the goals once: per function it holds the flattened
+// CFG, the metric's return-distance row and every goal's to-goal row, so a
+// query costs one map lookup per frame and takes no lock. A Scorer is
+// read-only after construction and safe for concurrent use.
+type Scorer struct {
+	rows    map[string]scoreRow
+	lookups *telemetry.Counter
+}
+
+// scoreRow is one function's slice of a Scorer.
+type scoreRow struct {
+	g   *fnGraph
+	ret []int64 // the metric's retDist row
+	// toGoal[k] is goal k's toGoal row (nil where the function cannot
+	// reach goal k).
+	toGoal [][]int64
+}
+
+// Scorer resolves goals (building any missing per-goal tables) into a
+// Scorer under the instruction metric. Min's best[k] is then exactly
+// StateDistance(stack, goals[k]).
+func (c *Calculator) Scorer(goals []mir.Loc) *Scorer {
+	gts := make([]*goalTables, len(goals))
+	for k, g := range goals {
+		gts[k] = c.steps.tables(g)
+	}
+	return c.steps.newScorer(gts)
+}
+
+func (m *metric) newScorer(gts []*goalTables) *Scorer {
+	s := &Scorer{rows: make(map[string]scoreRow, len(m.c.fns)), lookups: m.lookups}
+	backing := make([][]int64, len(m.c.fns)*len(gts))
+	for name, g := range m.c.fns {
+		toGoal := backing[:len(gts):len(gts)]
+		backing = backing[len(gts):]
+		for k, gt := range gts {
+			toGoal[k] = gt.toGoal[name]
+		}
+		s.rows[name] = scoreRow{g: g, ret: m.retDist[name], toGoal: toGoal}
+	}
+	return s
+}
+
+// Min is Algorithm 1 for every goal at once: for a thread with the given
+// call stack (outermost frame first, each frame's Loc naming the next
+// instruction it will execute) it lowers best[k] to the cheapest static
+// cost of reaching goal k when that is smaller. len(best) must equal the
+// number of goals. The walk stops at an unknown function, a location
+// outside its function's CFG, or a frame that can never return.
+func (s *Scorer) Min(stack []mir.Loc, best []int64) {
+	s.lookups.Add(int64(len(best)))
 	var unwind int64 // cost of returning out of every frame below the current one
 	for k := len(stack) - 1; k >= 0; k-- {
 		loc := stack[k]
-		g := m.c.fns[loc.Fn]
-		if g == nil {
-			break
-		}
-		i, ok := g.flat(loc)
+		r, ok := s.rows[loc.Fn]
 		if !ok {
 			break
 		}
-		if tg := gt.toGoal[loc.Fn]; tg != nil {
-			if d := add(unwind, tg[i]); d < best {
-				best = d
+		i, ok := r.g.flat(loc)
+		if !ok {
+			break
+		}
+		for j, tg := range r.toGoal {
+			if tg != nil {
+				if d := add(unwind, tg[i]); d < best[j] {
+					best[j] = d
+				}
 			}
 		}
-		unwind = add(unwind, m.retDist[loc.Fn][i])
+		unwind = add(unwind, r.ret[i])
 		if unwind >= Infinite {
 			break // this frame can never return: outer frames are unreachable
 		}
 	}
-	return best
+}
+
+// stateDistance is Algorithm 1 for one metric and one goal.
+func (m *metric) stateDistance(stack []mir.Loc, goal mir.Loc) int64 {
+	best := [1]int64{Infinite}
+	m.tables(goal).one.Min(stack, best[:])
+	return best[0]
 }
 
 // cachedGoals reports how many goals have memoized tables.

@@ -547,22 +547,8 @@ func TestStateDistanceMatchesBruteForce(t *testing.T) {
 // pays the (memoized) table construction; the steady state must stay well
 // under a microsecond.
 func BenchmarkStateDistance(b *testing.B) {
-	var src strings.Builder
-	// A wide program: a chain of functions so tables are non-trivial.
-	src.WriteString("int f0(int v) { return v + 1; }\n")
-	for i := 1; i < 40; i++ {
-		fmt.Fprintf(&src, "int f%d(int v) { if (v > %d) return f%d(v) + 2; return f%d(v + 1); }\n",
-			i, i, i-1, i-1)
-	}
-	src.WriteString("int main() { int x = input(\"x\"); return f39(x); }\n")
-	prog := lang.MustCompile("bench.c", src.String())
+	prog, stack, goal := benchChain()
 	c := NewCalculator(prog)
-	goal := mir.Loc{Fn: "f0", Block: 0, Index: 0}
-	stack := []mir.Loc{
-		{Fn: "main", Block: 0, Index: 2},
-		{Fn: "f39", Block: 1, Index: 0},
-		{Fn: "f38", Block: 1, Index: 0},
-	}
 	if d := c.StateDistance(stack, goal); d >= Infinite {
 		b.Fatalf("bench stack unexpectedly infinite: %d", d)
 	}

@@ -179,8 +179,8 @@ func (ck *Checkpoint) validatePlan(pl *plan) error {
 			return fmt.Errorf("search: checkpoint goal %d is %v, report has %v", i, g, pl.goals[i])
 		}
 	}
-	if ck.NumQueues != len(pl.queueGoals) {
-		return fmt.Errorf("search: checkpoint has %d virtual queues, plan has %d", ck.NumQueues, len(pl.queueGoals))
+	if ck.NumQueues != len(pl.queues) {
+		return fmt.Errorf("search: checkpoint has %d virtual queues, plan has %d", ck.NumQueues, len(pl.queues))
 	}
 	return nil
 }
@@ -239,7 +239,7 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		WithRace:        detector != nil,
 		Ablate:          s.opts.Ablate,
 		Goals:           s.finalGoals,
-		NumQueues:       len(s.queueGoals),
+		NumQueues:       len(s.queues),
 
 		ElapsedNS: res.Duration.Nanoseconds(),
 		RngDraws:  s.rngSrc.draws,
@@ -351,7 +351,7 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 		p.Preemptions = ck.PolPreemptions
 	}
 
-	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queueGoals))
+	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queues))
 	s.front.picks = ck.FrontPicks
 	if s.opts.Strategy == StrategyESD {
 		if len(ck.AliveKeys) != len(roots) {
@@ -362,8 +362,8 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 		}
 		for i, st := range roots {
 			fits := ck.AliveKeys[i]
-			if len(fits) != len(s.queueGoals) {
-				return fmt.Errorf("search: root %d has %d queue keys, want %d", i, len(fits), len(s.queueGoals))
+			if len(fits) != len(s.queues) {
+				return fmt.Errorf("search: root %d has %d queue keys, want %d", i, len(fits), len(s.queues))
 			}
 			keys := make([]esdKey, len(fits))
 			for q, fit := range fits {

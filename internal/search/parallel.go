@@ -96,7 +96,7 @@ func synthesizeParallel(ctx context.Context, prog *mir.Program, rep *report.Repo
 	r.shedBudget = int64(n) * int64(opts.MaxStates)
 	for i := range r.shards {
 		r.shards[i] = &frontierShard{
-			f: newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queueGoals)),
+			f: newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queues)),
 		}
 	}
 
@@ -140,7 +140,7 @@ func synthesizeParallel(ctx context.Context, prog *mir.Program, rep *report.Repo
 			solRejectBase:  sol.VerifyRejects,
 			solWallBase:    sol.WallNanos,
 		}
-		w.s.route = func(st *symex.State) { r.place(w, st) }
+		w.s.route = func(st *symex.State, dv []int64) { r.place(w, st, dv) }
 		workers[i] = w
 	}
 	defer func() {
@@ -160,7 +160,7 @@ func synthesizeParallel(ctx context.Context, prog *mir.Program, rep *report.Repo
 	if err != nil {
 		return nil, err
 	}
-	r.place(workers[0], init)
+	r.place(workers[0], init, nil)
 	emit(PhaseSearch, 1)
 
 	var wg sync.WaitGroup
@@ -285,13 +285,14 @@ type parallelRun struct {
 }
 
 // place scores a freshly produced state on the producing worker's
-// searcher, drops it if another worker already admitted an equivalent
+// searcher (from its distance vector dv when the prune gate computed one),
+// drops it if another worker already admitted an equivalent
 // decision history, and otherwise inserts it into the next shard
 // round-robin (shedding that shard if it overflowed its share).
-func (r *parallelRun) place(w *parallelWorker, st *symex.State) {
+func (r *parallelRun) place(w *parallelWorker, st *symex.State, dv []int64) {
 	var keys []esdKey
 	if w.s.opts.Strategy == StrategyESD {
-		keys = w.s.scoreState(st)
+		keys = w.s.scoreState(st, dv)
 		// Propagate the worker's improving final-goal fitness to the
 		// shared progress view.
 		for {

@@ -115,7 +115,8 @@ func pruneFactKey(st *symex.State) expr.StructKey {
 		if t.Status == symex.ThreadExited {
 			continue
 		}
-		for _, l := range t.Stack() {
+		for _, f := range t.Frames {
+			l := f.Loc()
 			h.Str(l.Fn)
 			h.Word(uint64(int64(l.Block)))
 			h.Word(uint64(int64(l.Index)))

@@ -574,11 +574,19 @@ type plan struct {
 	// schedGuided gates the schedule-distance fitness component and the
 	// FIFO aging pick; see searcher.schedGuided.
 	schedGuided bool
-	// queueGoals is one goal set per virtual queue: intermediate sets
-	// first, then one per final goal (§3.4); nInter is where the final
-	// queues start.
-	queueGoals [][]mir.Loc
-	nInter     int
+	// scoreGoals are the plan's distinct goals, final and intermediate:
+	// the index space of distance vectors (see searcher.distances).
+	// scorer resolves them once; it is built only for ESD with the
+	// proximity heuristic on, the searches that score every state.
+	scoreGoals []mir.Loc
+	scorer     *dist.Scorer
+	// queues is one goal set per virtual queue, as indices into
+	// scoreGoals: intermediate sets first, then one per final goal (§3.4);
+	// nInter is where the final queues start. finalIdx indexes the report's
+	// goals in order.
+	queues   [][]int
+	nInter   int
+	finalIdx []int
 }
 
 // buildPlan runs the static front half: report goals, call graph,
@@ -598,20 +606,7 @@ func buildPlan(prog *mir.Program, rep *report.Report, opts Options) (*plan, erro
 		analyses = append(analyses, a)
 	}
 	calc := dist.ForProgram(cg)
-
-	// Build the goal queues: one per intermediate goal set, one per final
-	// goal (§3.4).
-	var queueGoals [][]mir.Loc
-	if !opts.Ablate.NoIntermediateGoals {
-		for _, a := range analyses {
-			queueGoals = append(queueGoals, a.IntermediateGoals...)
-		}
-	}
-	nInter := len(queueGoals)
-	for _, g := range goals {
-		queueGoals = append(queueGoals, []mir.Loc{g})
-	}
-	return &plan{
+	pl := &plan{
 		prog:     prog,
 		rep:      rep,
 		goals:    goals,
@@ -620,9 +615,40 @@ func buildPlan(prog *mir.Program, rep *report.Report, opts Options) (*plan, erro
 		calc:     calc,
 		schedGuided: calc.HasSync() &&
 			(rep.Kind == report.KindDeadlock || rep.Kind == report.KindRace),
-		queueGoals: queueGoals,
-		nInter:     nInter,
-	}, nil
+	}
+
+	// Build the goal queues: one per intermediate goal set, one per final
+	// goal (§3.4).
+	index := map[mir.Loc]int{}
+	indices := func(set []mir.Loc) []int {
+		out := make([]int, len(set))
+		for i, g := range set {
+			k, ok := index[g]
+			if !ok {
+				k = len(pl.scoreGoals)
+				index[g] = k
+				pl.scoreGoals = append(pl.scoreGoals, g)
+			}
+			out[i] = k
+		}
+		return out
+	}
+	pl.finalIdx = indices(goals)
+	if !opts.Ablate.NoIntermediateGoals {
+		for _, a := range analyses {
+			for _, set := range a.IntermediateGoals {
+				pl.queues = append(pl.queues, indices(set))
+			}
+		}
+	}
+	pl.nInter = len(pl.queues)
+	for _, k := range pl.finalIdx {
+		pl.queues = append(pl.queues, []int{k})
+	}
+	if opts.Strategy == StrategyESD && !opts.Ablate.NoProximity {
+		pl.scorer = calc.Scorer(pl.scoreGoals)
+	}
+	return pl, nil
 }
 
 // newVM builds one worker's private symbolic VM over the shared plan: an
@@ -674,9 +700,13 @@ func newSearcher(pl *plan, ctx context.Context, opts Options, eng *symex.Engine,
 		analyses:    pl.analyses,
 		calc:        pl.calc,
 		schedGuided: pl.schedGuided,
-		queueGoals:  pl.queueGoals,
+		scoreGoals:  pl.scoreGoals,
+		scorer:      pl.scorer,
+		queues:      pl.queues,
 		finalStart:  pl.nInter,
 		finalGoals:  pl.goals,
+		finalIdx:    pl.finalIdx,
+		dv:          make([]int64, len(pl.scoreGoals)),
 		rng:         rand.New(src),
 		rngSrc:      src,
 		bestFit:     dist.Infinite,
@@ -702,11 +732,19 @@ type searcher struct {
 	// schedules, and reordering sequential searches only perturbs their
 	// shedding decisions).
 	schedGuided bool
-	queueGoals  [][]mir.Loc
-	// finalStart is the index of the first final-goal queue in queueGoals
+	// scoreGoals, scorer, queues and finalIdx are the plan's (see plan).
+	// The scorer is shared read-only with every worker of a parallel run;
+	// stack and dv are this searcher's own buffers.
+	scoreGoals []mir.Loc
+	scorer     *dist.Scorer
+	queues     [][]int
+	// finalStart is the index of the first final-goal queue in queues
 	// (the preceding queues belong to intermediate goals).
 	finalStart int
 	finalGoals []mir.Loc
+	finalIdx   []int
+	stack      []mir.Loc
+	dv         []int64
 	rng        *rand.Rand
 	// rngSrc is rng's underlying draw-counting source (checkpointing).
 	rngSrc *countingSource
@@ -726,10 +764,11 @@ type searcher struct {
 	// and the aging FIFO. Created by run; nil for parallel workers, whose
 	// states live in the shared shards instead.
 	front *queueFrontier
-	// route, when set, diverts insertions to a frontier-parallel run's
-	// shared shards instead of this searcher's own frontier. Workers
-	// reuse quantum/admit/terminal/prunable verbatim through this hook.
-	route func(*symex.State)
+	// route, when set, diverts insertions (with the state's distance
+	// vector, as insert takes it) to a frontier-parallel run's shared
+	// shards instead of this searcher's own frontier. Workers reuse
+	// quantum/admit/terminal/prunable verbatim through this hook.
+	route func(*symex.State, []int64)
 
 	// Flight-recorder and per-run counters: allPicks drives the
 	// deterministic frontier-sampling cadence across all strategies;
@@ -773,8 +812,8 @@ func (s *searcher) sampleFrontier() {
 // (Options.Preempt asked for a checkpoint), or a hard error (the epoch
 // guard tripping, which means the reclaim gate was violated).
 func (s *searcher) run(init *symex.State, res *Result) (found *symex.State, timedOut, cancelled, preempted bool, err error) {
-	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queueGoals))
-	s.insert(init)
+	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queues))
+	s.insert(init, nil)
 	return s.runLoop(res)
 }
 
@@ -861,31 +900,37 @@ func (s *searcher) maybeProgress(now time.Time) {
 }
 
 // insert adds a live state to the frontier — this searcher's own, or the
-// shared shards of a frontier-parallel run when route is set.
-func (s *searcher) insert(st *symex.State) {
+// shared shards of a frontier-parallel run when route is set. dv is the
+// state's distance vector when the prune gate already computed it this
+// quantum (nil otherwise: scoring computes it).
+func (s *searcher) insert(st *symex.State, dv []int64) {
 	if st.Steps > s.maxDepth {
 		s.maxDepth = st.Steps
 	}
 	if s.route != nil {
-		s.route(st)
+		s.route(st, dv)
 		return
 	}
-	s.front.insert(st, s.scoreState(st))
+	s.front.insert(st, s.scoreState(st, dv))
 }
 
 // scoreState computes the per-queue ESD keys of a state (nil for the
-// other strategies), tracking the best final-goal fitness seen. The
+// other strategies), tracking the best final-goal fitness seen. dv is the
+// state's distance vector, or nil to compute it here. The
 // schedule-distance component is queue-independent (it measures progress
 // toward the reported bug's full goal set), so it is computed once per
 // scoring and shared across the per-queue keys.
-func (s *searcher) scoreState(st *symex.State) []esdKey {
+func (s *searcher) scoreState(st *symex.State, dv []int64) []esdKey {
 	if s.opts.Strategy != StrategyESD {
 		return nil
 	}
+	if dv == nil && s.scorer != nil {
+		dv = s.distances(st)
+	}
 	sched := s.schedDistance(st)
-	keys := make([]esdKey, len(s.queueGoals))
-	for q := range s.queueGoals {
-		key := s.esdKey(st, s.queueGoals[q], sched)
+	keys := make([]esdKey, len(s.queues))
+	for q, goals := range s.queues {
+		key := esdKeyOf(st, dv, goals, sched)
 		if q >= s.finalStart && key.fit < s.bestFit {
 			s.bestFit = key.fit
 		}
@@ -934,10 +979,16 @@ func combineFitness(dataD, syncD int64) int64 {
 	return dataD + syncD*syncWeight
 }
 
-func (s *searcher) esdKey(st *symex.State, goalSet []mir.Loc, sched int64) esdKey {
+// esdKeyOf is st's key in the queue over goals (indices into dv): the
+// proximity to the nearest of them, combined with the schedule distance.
+// A nil dv (the NoProximity ablation) scores every state at distance 0.
+func esdKeyOf(st *symex.State, dv []int64, goals []int, sched int64) esdKey {
 	d := int64(0)
-	if !s.opts.Ablate.NoProximity {
-		d = s.stateDistance(st, goalSet)
+	if dv != nil {
+		d = dist.Infinite
+		for _, k := range goals {
+			d = min(d, dv[k])
+		}
 	}
 	return esdKey{fit: combineFitness(d, sched), id: st.ID}
 }
@@ -1000,7 +1051,8 @@ func (s *searcher) schedDistance(st *symex.State) int64 {
 			if t.Status == symex.ThreadExited {
 				continue
 			}
-			if d := s.calc.SyncDistance(t.Stack(), g); d < best {
+			s.stack = t.AppendStack(s.stack[:0])
+			if d := s.calc.SyncDistance(s.stack, g); d < best {
 				best = d
 				if best == 0 {
 					break
@@ -1023,23 +1075,24 @@ func add(a, b int64) int64 {
 	return a + b
 }
 
-// stateDistance estimates the state's proximity to the nearest member of
-// goalSet: the minimum over live threads of Algorithm 1's stack-aware
-// distance.
-func (s *searcher) stateDistance(st *symex.State, goalSet []mir.Loc) int64 {
-	best := int64(dist.Infinite)
+// distances computes the state's distance vector into the searcher's
+// buffer: dv[k] is the minimum over live threads of Algorithm 1's
+// stack-aware distance to scoreGoals[k], one scorer walk per thread (a
+// minimum over threads then goals is a minimum over goals then threads).
+// The vector is valid until the next call.
+func (s *searcher) distances(st *symex.State) []int64 {
+	dv := s.dv
+	for k := range dv {
+		dv[k] = dist.Infinite
+	}
 	for _, t := range st.Threads {
 		if t.Status == symex.ThreadExited {
 			continue
 		}
-		stack := t.Stack()
-		for _, g := range goalSet {
-			if d := s.calc.StateDistance(stack, g); d < best {
-				best = d
-			}
-		}
+		s.stack = t.AppendStack(s.stack[:0])
+		s.scorer.Min(s.stack, dv)
 	}
-	return best
+	return dv
 }
 
 // quantum runs st for up to Quantum instructions, absorbing forks into the
@@ -1073,11 +1126,12 @@ func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
 			return s.terminal(st, res), nil
 		}
 	}
-	if reason := s.prunable(st); reason != "" {
+	reason, dv := s.prunable(st)
+	if reason != "" {
 		s.countPrune(res, reason)
 		return nil, nil // statically cannot reach the goal: abandon (§3.2)
 	}
-	s.insert(st)
+	s.insert(st, dv)
 	return nil, nil
 }
 
@@ -1087,11 +1141,12 @@ func (s *searcher) admit(f *symex.State, res *Result) *symex.State {
 	if f.Status != symex.StateRunning {
 		return s.terminal(f, res)
 	}
-	if reason := s.prunable(f); reason != "" {
+	reason, dv := s.prunable(f)
+	if reason != "" {
 		s.countPrune(res, reason)
 		return nil
 	}
-	s.insert(f)
+	s.insert(f, dv)
 	return nil
 }
 
@@ -1133,17 +1188,19 @@ const (
 
 // prunable implements critical-edge path abandonment: a state none of
 // whose threads can still reach some goal is dead (§3.2, §3.3). It returns
-// the gate that proved the state dead ("" when it stays live).
-func (s *searcher) prunable(st *symex.State) string {
+// the gate that proved the state dead ("" when it stays live) and, when
+// the infinite-distance gate computed it for a live state, the state's
+// distance vector, which insert then scores from.
+func (s *searcher) prunable(st *symex.State) (string, []int64) {
 	if s.opts.Ablate.NoCriticalEdges || s.opts.Strategy != StrategyESD {
-		return ""
+		return "", nil
 	}
 	// Deadlock schedule synthesis deliberately runs threads PAST their
 	// goal locks and rolls them back through K_S snapshots (§4.1); as long
 	// as a state can still be rolled back, static reachability of its
 	// current program points is not evidence of deadness.
 	if s.rep.Kind == report.KindDeadlock && len(st.Snapshots) > 0 {
-		return ""
+		return "", nil
 	}
 	for _, a := range s.analyses {
 		reachable := false
@@ -1151,13 +1208,14 @@ func (s *searcher) prunable(st *symex.State) string {
 			if t.Status == symex.ThreadExited {
 				continue
 			}
-			if a.StackMayReachGoal(t.Stack()) {
+			s.stack = t.AppendStack(s.stack[:0])
+			if a.StackMayReachGoal(s.stack) {
 				reachable = true
 				break
 			}
 		}
 		if !reachable {
-			return pruneCritical
+			return pruneCritical, nil
 		}
 	}
 	// Second gate: the proximity calculator's Infinite is an instruction-
@@ -1167,35 +1225,40 @@ func (s *searcher) prunable(st *symex.State) string {
 	// its blocks look goal-reaching). Gated on NoProximity so the §7.3
 	// ablation really runs without any distance information.
 	if s.opts.Ablate.NoProximity {
-		return ""
+		return "", nil
 	}
-	if pf := s.opts.PruneFacts; pf != nil {
-		// The verdict is a pure function of (live stacks, final goals),
-		// so the shared memo returns exactly what infiniteDistance would
-		// compute — reuse changes no decision, only who pays for it.
-		key := pruneFactKey(st)
-		inf, ok := pf.lookup(key)
-		if !ok {
-			inf = s.infiniteDistance(st)
+	// The verdict is a pure function of (live stacks, final goals), so the
+	// shared memo returns exactly what infiniteDistance would compute —
+	// reuse changes no decision, only who pays for it. A memo hit skips the
+	// walk; a live state then computes its vector when it is scored.
+	pf := s.opts.PruneFacts
+	var key expr.StructKey
+	var inf, known bool
+	if pf != nil {
+		key = pruneFactKey(st)
+		inf, known = pf.lookup(key)
+	}
+	var dv []int64
+	if !known {
+		dv = s.distances(st)
+		inf = s.infiniteDistance(dv)
+		if pf != nil {
 			pf.publish(key, inf)
 		}
-		if inf {
-			return pruneInfinite
-		}
-		return ""
 	}
-	if s.infiniteDistance(st) {
-		return pruneInfinite
+	if inf {
+		return pruneInfinite, nil
 	}
-	return ""
+	return "", dv
 }
 
 // infiniteDistance reports whether some final goal is at Infinite
-// proximity from every live thread — the instruction-granular
-// unreachability proof behind the pruneInfinite gate.
-func (s *searcher) infiniteDistance(st *symex.State) bool {
-	for _, g := range s.finalGoals {
-		if s.stateDistance(st, []mir.Loc{g}) >= dist.Infinite {
+// proximity from every live thread (dv is the state's distance vector) —
+// the instruction-granular unreachability proof behind the pruneInfinite
+// gate.
+func (s *searcher) infiniteDistance(dv []int64) bool {
+	for _, k := range s.finalIdx {
+		if dv[k] >= dist.Infinite {
 			return true
 		}
 	}
@@ -1207,14 +1270,23 @@ func (s *searcher) infiniteDistance(st *symex.State) bool {
 // (a parallel shard sheds on stored insertion keys instead; see
 // queueFrontier.shedWorst).
 func (s *searcher) shedStates() {
-	goalSet := s.queueGoals[len(s.queueGoals)-1]
+	if s.scorer == nil && !s.opts.Ablate.NoProximity {
+		// The baseline strategies score states only here: build the
+		// tables on first need rather than for every baseline run.
+		s.scorer = s.calc.Scorer(s.scoreGoals)
+	}
+	goals := s.queues[len(s.queues)-1]
 	type scored struct {
 		st *symex.State
 		k  esdKey
 	}
 	arr := make([]scored, 0, s.front.size())
 	for st := range s.front.alive {
-		arr = append(arr, scored{st, s.esdKey(st, goalSet, s.schedDistance(st))})
+		var dv []int64
+		if s.scorer != nil {
+			dv = s.distances(st)
+		}
+		arr = append(arr, scored{st, esdKeyOf(st, dv, goals, s.schedDistance(st))})
 	}
 	sort.Slice(arr, func(i, j int) bool { return arr[i].k.less(arr[j].k) })
 	keep := len(arr) / 2
@@ -1228,6 +1300,6 @@ func (s *searcher) shedStates() {
 	})
 	s.front.reset() // drop backing arrays: shed states must become collectable
 	for i := 0; i < keep; i++ {
-		s.insert(arr[i].st)
+		s.insert(arr[i].st, nil)
 	}
 }

@@ -111,6 +111,10 @@ type Solver struct {
 	// delta around every query batch to attribute synthesis wall time to the
 	// solver versus the search loop.
 	WallNanos int64
+
+	// query is MayBeTrue/MustBeTrue's reusable conjunction buffer (Check
+	// keeps nothing of its argument).
+	query []*expr.Expr
 }
 
 type cacheEntry struct {
@@ -465,21 +469,24 @@ func partition(cs []*expr.Expr) [][]*expr.Expr {
 
 // MayBeTrue reports whether cond can be true under the path constraints.
 func (s *Solver) MayBeTrue(path []*expr.Expr, cond *expr.Expr) (bool, Result) {
-	cs := make([]*expr.Expr, 0, len(path)+1)
-	cs = append(cs, path...)
-	cs = append(cs, expr.Truth(cond))
-	res, _ := s.Check(cs)
+	res := s.checkPath(path, expr.Truth(cond))
 	return res == Sat, res
 }
 
 // MustBeTrue reports whether cond is implied by the path constraints
 // (i.e. path ∧ ¬cond is unsatisfiable).
 func (s *Solver) MustBeTrue(path []*expr.Expr, cond *expr.Expr) (bool, Result) {
-	cs := make([]*expr.Expr, 0, len(path)+1)
-	cs = append(cs, path...)
-	cs = append(cs, expr.Not(cond))
-	res, _ := s.Check(cs)
+	res := s.checkPath(path, expr.Not(cond))
 	return res == Unsat, res
+}
+
+// checkPath decides path ∧ c, building the query in the solver's buffer.
+// The buffer is cleared afterwards so an idle pooled solver pins no terms.
+func (s *Solver) checkPath(path []*expr.Expr, c *expr.Expr) Result {
+	s.query = append(append(s.query[:0], path...), c)
+	res, _ := s.Check(s.query)
+	clear(s.query)
+	return res
 }
 
 // completeModel copies the model and fills in zero for the conjuncts'

@@ -116,6 +116,23 @@ type Engine struct {
 	// on the context-poll cadence and fails with ErrEpochChanged if a
 	// reclaim sweep lands under a live run.
 	epoch uint64
+	// lone is the buffer Step returns a lone successor in (see Step).
+	lone [1]*State
+}
+
+// one returns st as the lone successor, in the engine's buffer.
+func (e *Engine) one(st *State) []*State {
+	e.lone[0] = st
+	return e.lone[:]
+}
+
+// withForks returns st followed by the states in forks: the engine's
+// buffer when there are none, a fresh slice otherwise.
+func (e *Engine) withForks(st *State, forks []*State) []*State {
+	if len(forks) == 0 {
+		return e.one(st)
+	}
+	return append([]*State{st}, forks...)
 }
 
 // tick polls the engine's context and the interner epoch on a coarse step
@@ -220,6 +237,11 @@ func (e *Engine) InitialState() (*State, error) {
 // fork} at a symbolic branch, or {} when the state terminated. Terminated
 // and policy-forked states are also returned so the search can inspect
 // them; callers check Status.
+//
+// A lone successor comes back in a one-element buffer the engine owns and
+// reuses: the slice is valid only until the next Step on this engine, so
+// callers read it before stepping again and never retain it. A step that
+// forks returns a fresh slice.
 func (e *Engine) Step(st *State) ([]*State, error) {
 	if err := e.tick(); err != nil {
 		return nil, err
@@ -252,7 +274,7 @@ func (e *Engine) Step(st *State) ([]*State, error) {
 		if st.Cur != t.ID {
 			// The policy preempted the current thread in place; the pending
 			// instruction executes when the thread is next scheduled.
-			return []*State{st}, nil
+			return e.one(st), nil
 		}
 	}
 	if approved {
@@ -276,7 +298,7 @@ func (e *Engine) reschedule(st *State) ([]*State, error) {
 	runnable := st.RunnableThreads()
 	if len(runnable) == 0 {
 		e.detectTerminal(st)
-		return []*State{st}, nil
+		return e.one(st), nil
 	}
 	next := -1
 	if e.Policy != nil {
@@ -293,7 +315,7 @@ func (e *Engine) reschedule(st *State) ([]*State, error) {
 		}
 	}
 	st.SwitchTo(next)
-	return []*State{st}, nil
+	return e.one(st), nil
 }
 
 // detectTerminal classifies a state with no runnable threads: clean exit,

@@ -94,11 +94,16 @@ func (t *Thread) Top() *Frame {
 // Stack returns the thread's call stack, outermost first, as instruction
 // locations (the shape bug-report stack traces take).
 func (t *Thread) Stack() []mir.Loc {
-	out := make([]mir.Loc, len(t.Frames))
-	for i, f := range t.Frames {
-		out[i] = f.Loc()
+	return t.AppendStack(make([]mir.Loc, 0, len(t.Frames)))
+}
+
+// AppendStack appends the thread's call stack (as Stack returns it) to buf
+// and returns the extended slice: hot paths reuse one buffer across calls.
+func (t *Thread) AppendStack(buf []mir.Loc) []mir.Loc {
+	for _, f := range t.Frames {
+		buf = append(buf, f.Loc())
 	}
-	return out
+	return buf
 }
 
 // MutexKey identifies a mutex or condition variable by its memory cell.

@@ -603,3 +603,53 @@ int main() {
 		t.Fatalf("exit = %d, want 50", got)
 	}
 }
+
+// Step's result contract: a non-forking step (in-bounds loads and stores
+// included) returns the engine's one-element buffer holding st, and a
+// forking step returns a fresh slice that the next Step leaves intact.
+func TestStepLoneSuccessorBuffer(t *testing.T) {
+	prog := lang.MustCompile("t.c", `
+int main() {
+	int a[4];
+	int x = input("x");
+	a[1] = x;
+	int y = a[1];
+	if (y > 3) return 1;
+	return 0;
+}`)
+	e := New(prog, solver.New())
+	st, err := e.InitialState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := &e.lone[0]
+	var lone int
+	for st.Status == StateRunning {
+		succ, err := e.Step(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(succ) == 1 {
+			if &succ[0] != buf || succ[0] != st {
+				t.Fatalf("lone successor at step %d not returned in the engine buffer", st.Steps)
+			}
+			lone++
+			continue
+		}
+		if len(succ) != 2 || &succ[0] == buf || succ[0] != st {
+			t.Fatalf("forking step returned %d successors, fresh=%v", len(succ), &succ[0] != buf)
+		}
+		fork := succ[1]
+		if _, err := e.Step(st); err != nil {
+			t.Fatal(err)
+		}
+		if succ[0] != st || succ[1] != fork {
+			t.Fatal("the next Step overwrote a forking step's result")
+		}
+		if lone < 4 {
+			t.Fatalf("only %d lone steps before the fork", lone)
+		}
+		return
+	}
+	t.Fatal("program never forked")
+}
