@@ -32,11 +32,6 @@ const DefaultBudget = 10 * time.Minute
 type Engine struct {
 	defaultBudget time.Duration
 	maxConcurrent int
-	// internerHighWater is the reclaim watermark: when the global interned-
-	// term store exceeds this many bytes and no synthesis is in flight, the
-	// engine runs an epoch sweep (expr.TryReclaim). Zero disables the
-	// policy (the pre-reclaim append-only behavior).
-	internerHighWater int64
 
 	// solvers pools warm solvers: a solver's memoized query cache is
 	// keyed by canonical structural term fingerprints, so reusing one
@@ -62,25 +57,7 @@ type Engine struct {
 	found       atomic.Int64
 	compiled    atomic.Int64
 	compileHits atomic.Int64
-	sweeps      atomic.Int64
-	sweptBytes  atomic.Int64
-	// lastQuiesce is the UnixNano of the last forced-quiescence sweep
-	// attempt (the rate limiter for sweepQuiesceWait admission pauses).
-	lastQuiesce atomic.Int64
 }
-
-// Watermark-sweep quiescence tuning. On a server that is never idle, a
-// sweep window has to be made: when the watermark is exceeded and an
-// opportunistic TryReclaim keeps losing to in-flight pins, MaybeReclaim
-// briefly blocks new admissions (expr.ReclaimWait) so running syntheses
-// can drain. sweepQuiesceWait bounds that admission pause; sweepCooldown
-// bounds how often it may be attempted, so a long-running synthesis that
-// cannot drain within the wait costs at most one pause per cooldown.
-// These are vars, not consts, so tests can tighten them.
-var (
-	sweepQuiesceWait = 500 * time.Millisecond
-	sweepCooldown    = 15 * time.Second
-)
 
 // Option configures an Engine at construction.
 type Option func(*Engine)
@@ -97,25 +74,6 @@ func WithMaxConcurrent(n int) Option {
 		if n > 0 {
 			e.maxConcurrent = n
 		}
-	}
-}
-
-// WithInternerHighWater sets the reclaim watermark: once the global
-// interned-term store (expr.InternerStats().Bytes) exceeds bytes, the
-// engine runs a stop-the-world epoch sweep at the next moment no
-// synthesis is in flight, reclaiming every term unreachable from the
-// registered roots. Zero (the default) disables reclamation, matching the
-// historical append-only behavior — fine for CLIs, not for a long-lived
-// service. The sweep never runs under an active synthesis: in-flight runs
-// pin the term universe, and admission briefly quiesces while a sweep is
-// in progress. Passing 0 (or a negative value) disables reclamation even
-// if an earlier option in the list enabled it.
-func WithInternerHighWater(bytes int64) Option {
-	return func(e *Engine) {
-		if bytes < 0 {
-			bytes = 0
-		}
-		e.internerHighWater = bytes
 	}
 }
 
@@ -360,15 +318,6 @@ func (e *Engine) Synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 }
 
 func (e *Engine) synthesize(ctx context.Context, prog *Program, rep *BugReport, so search.Options) (*Result, error) {
-	res, err := e.synthesizePinned(ctx, prog, rep, so)
-	// The reclaim check runs after the synthesis pin is released (deferred
-	// in synthesizePinned), so the completing request itself can trigger
-	// the sweep its growth warranted.
-	e.MaybeReclaim()
-	return res, err
-}
-
-func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugReport, so search.Options) (*Result, error) {
 	reqStart := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -405,8 +354,8 @@ func (e *Engine) synthesizePinned(ctx context.Context, prog *Program, rep *BugRe
 	}
 
 	// Pin the interned-term universe for the whole request — the search
-	// plus the path concretization below — so a watermark sweep can never
-	// land under an in-flight synthesis (the quiescence gate).
+	// plus the path concretization below — so an expr.TryReclaim from
+	// another goroutine can never sweep under an in-flight synthesis.
 	release := expr.Pin()
 	defer release()
 	e.active.Add(1)
@@ -645,58 +594,6 @@ func (e *Engine) SynthesizeBatch(ctx context.Context, prog *Program, reports []*
 	return results, nil
 }
 
-// MaybeReclaim applies the engine's watermark policy: if a high-water
-// mark is configured (WithInternerHighWater) and the interner footprint
-// exceeds it, it runs one epoch sweep at the first opportunity. The
-// opportunistic path costs nothing and sweeps only when nothing is
-// pinned; when in-flight work keeps winning that race (a server that is
-// never idle), a rate-limited fallback briefly pauses new admissions
-// (expr.ReclaimWait) so the running syntheses can drain — otherwise a
-// saturated server would never reclaim at all. The engine calls this
-// after every synthesis; services that hold their own interner pins
-// around request handling call it again after those pins drop.
-func (e *Engine) MaybeReclaim() (expr.ReclaimStats, bool) {
-	hw := e.internerHighWater
-	if hw <= 0 || expr.InternerStats().Bytes < hw {
-		return expr.ReclaimStats{Epoch: expr.Epoch()}, false
-	}
-	if e.active.Load() == 0 {
-		if st, ok := e.tryReclaim(); ok {
-			return st, true
-		}
-	}
-	// In-flight work held the gate. Rate-limited forced quiescence: block
-	// new pins for up to sweepQuiesceWait while the current runs finish.
-	now := time.Now().UnixNano()
-	last := e.lastQuiesce.Load()
-	if now-last < int64(sweepCooldown) || !e.lastQuiesce.CompareAndSwap(last, now) {
-		return expr.ReclaimStats{Epoch: expr.Epoch()}, false
-	}
-	st, ok := expr.ReclaimWait(sweepQuiesceWait)
-	if ok {
-		e.sweeps.Add(1)
-		e.sweptBytes.Add(st.BytesReclaimed)
-	}
-	return st, ok
-}
-
-// Reclaim forces one epoch sweep regardless of the watermark, if no
-// synthesis is in flight. It returns the sweep stats and whether the
-// sweep ran (ok=false: in-flight work held the gate; retry when idle).
-// esdserve exposes this as POST /reclaim.
-func (e *Engine) Reclaim() (expr.ReclaimStats, bool) {
-	return e.tryReclaim()
-}
-
-func (e *Engine) tryReclaim() (expr.ReclaimStats, bool) {
-	st, ok := expr.TryReclaim()
-	if ok {
-		e.sweeps.Add(1)
-		e.sweptBytes.Add(st.BytesReclaimed)
-	}
-	return st, ok
-}
-
 // EngineStats is a point-in-time snapshot of an Engine's cumulative
 // activity and shared-cache health (the /healthz payload of esdserve).
 type EngineStats struct {
@@ -719,15 +616,8 @@ type EngineStats struct {
 	DistCacheHits   int64 `json:"dist_cache_hits"`
 	DistCacheMisses int64 `json:"dist_cache_misses"`
 	// Interner is the global hash-consed term store's footprint, including
-	// the reclaim epoch, sweep count, and cumulative bytes reclaimed.
+	// the reclaim epoch and cumulative bytes reclaimed (process-wide).
 	Interner InternerStats `json:"interner"`
-	// InternerHighWater is this engine's reclaim watermark in bytes
-	// (0 = reclamation disabled); Sweeps and SweptBytes count the sweeps
-	// this engine triggered and the bytes they released (the Interner
-	// fields above are process-wide).
-	InternerHighWater int64 `json:"interner_high_water"`
-	Sweeps            int64 `json:"engine_sweeps"`
-	SweptBytes        int64 `json:"engine_swept_bytes"`
 	// PersistentCache snapshots the cross-run solver-fact store
 	// (WithPersistentCache); nil when no cache directory is configured.
 	// PersistentCacheError is why the configured store failed to open
@@ -743,19 +633,16 @@ func (e *Engine) Stats() EngineStats {
 	cached := len(e.programs)
 	e.mu.Unlock()
 	st := EngineStats{
-		Active:            e.active.Load(),
-		BatchQueueDepth:   e.batchQueued.Load(),
-		Synthesized:       e.synthesized.Load(),
-		Found:             e.found.Load(),
-		ProgramsCompiled:  e.compiled.Load(),
-		CompileCacheHits:  e.compileHits.Load(),
-		ProgramsCached:    cached,
-		DistCacheHits:     hits,
-		DistCacheMisses:   misses,
-		Interner:          expr.InternerStats(),
-		InternerHighWater: e.internerHighWater,
-		Sweeps:            e.sweeps.Load(),
-		SweptBytes:        e.sweptBytes.Load(),
+		Active:           e.active.Load(),
+		BatchQueueDepth:  e.batchQueued.Load(),
+		Synthesized:      e.synthesized.Load(),
+		Found:            e.found.Load(),
+		ProgramsCompiled: e.compiled.Load(),
+		CompileCacheHits: e.compileHits.Load(),
+		ProgramsCached:   cached,
+		DistCacheHits:    hits,
+		DistCacheMisses:  misses,
+		Interner:         expr.InternerStats(),
 	}
 	if e.pcache != nil {
 		pst := e.pcache.Stats()

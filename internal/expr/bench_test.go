@@ -49,8 +49,8 @@ func BenchmarkConstruct(b *testing.B) {
 // BenchmarkReclaim measures the stop-the-world sweep cost as a function
 // of the live-term count: each iteration interns a fixed batch of doomed
 // terms, then mark-sweeps them away while `live` rooted terms survive.
-// ns/op is therefore the admission-quiescence pause a service pays per
-// sweep at that live-set size.
+// ns/op is therefore how long new pins wait out one sweep at that
+// live-set size.
 func BenchmarkReclaim(b *testing.B) {
 	for _, live := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("live=%d", live), func(b *testing.B) {

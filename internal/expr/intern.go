@@ -155,9 +155,10 @@ func InternedNodes() int {
 }
 
 // Stats is a point-in-time snapshot of the interner's footprint. The
-// table is append-only between Reclaim sweeps (see reclaim.go): without a
-// reclaim trigger these numbers only grow, which is why a long-lived
-// service watches them and sets a watermark.
+// table is append-only: these numbers only grow, except across an
+// explicit Reclaim sweep (see reclaim.go), which tests and benchmarks use
+// to start cold. A long-lived service reports them so the growth per
+// novel program stays observable.
 type Stats struct {
 	// Terms is the number of live interned terms.
 	Terms int `json:"terms"`
@@ -171,9 +172,6 @@ type Stats struct {
 	// Epoch is the current reclaim epoch: the number of completed sweeps.
 	// Identity-keyed downstream caches record it and flush when it moves.
 	Epoch uint64 `json:"epoch"`
-	// Sweeps counts completed Reclaim sweeps (process-wide; equals Epoch
-	// today, kept separate so epoch semantics can evolve independently).
-	Sweeps int64 `json:"sweeps"`
 	// BytesReclaimed is the cumulative estimate of bytes released by
 	// sweeps over the process lifetime. It shares one accounting path with
 	// Bytes (accountTerms/accountNames), so the two can never drift.
@@ -194,7 +192,6 @@ func InternerStats() Stats {
 		Bytes:          byteCount.Load(),
 		Shards:         internShards,
 		Epoch:          epochCount.Load(),
-		Sweeps:         sweepCount.Load(),
 		BytesReclaimed: reclaimedBytes.Load(),
 		InternHits:     internHits.Load(),
 		InternMisses:   internMisses.Load(),

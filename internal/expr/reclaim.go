@@ -7,32 +7,32 @@ import (
 	"time"
 )
 
-// This file implements epoch-based reclamation for the interned-term
-// universe. Between sweeps the intern table is append-only: every distinct
-// term built by any run stays resident, which is fine for one-shot CLI
-// debugging sessions but leaks without bound in a long-lived service that
-// concolically executes arbitrary tenant programs.
+// This file implements the epoch sweep of the interned-term universe. The
+// intern table is append-only: every distinct term built by any run stays
+// resident for the life of the process, and nothing in the engine or the
+// service sweeps it (a novel program grows it by a few KB). The sweep is
+// kept as the primitive that returns a process to a cold interner: tests
+// and benchmarks call it to start a run from scratch.
 //
 // A Reclaim is a stop-the-world mark-sweep over the global store: with
 // every shard (plus the name and var-set tables) locked, live terms are
-// marked from the roots — the constant cache, roots passed by the caller,
-// and roots contributed by registered providers — then unmarked terms are
-// unlinked from the shard chains, var-sets no live term references are
-// dropped, and variable names no live var-set references are tombstoned
-// (their IDs recycled). Completing a sweep advances the process-wide
-// epoch; identity-keyed downstream caches (the solver query/component
-// cache, Subst memos) record the epoch they were filled in and flush when
+// marked from the roots — the constant cache and the roots passed by the
+// caller — then unmarked terms are unlinked from the shard chains,
+// var-sets no live term references are dropped, and variable names no
+// live var-set references are tombstoned (their IDs recycled). Completing
+// a sweep advances the process-wide epoch; identity-keyed downstream
+// caches (Subst memos) record the epoch they were filled in and flush when
 // it moves, so a reclaimed epoch can never serve entries about dead terms.
 // Intern IDs themselves are never reused (nextExprID is monotonic), so a
 // stale ID-keyed entry can go garbage but can never alias a new term.
 //
 // Safety contract: terms are raw pointers, so a sweep concurrent with a
 // goroutine that is constructing terms — or holding terms not reachable
-// from a registered root — would leave that goroutine with dangling nodes.
-// Every such goroutine must hold a Pin() for as long as it builds or keeps
-// unrooted terms. TryReclaim only sweeps when no pins are held, and new
-// pins briefly queue behind an in-progress sweep (this is the admission
-// quiescence the esd.Engine and esdserve build their gating on).
+// from a root — would leave that goroutine with dangling nodes. Every such
+// goroutine must hold a Pin() for as long as it builds or keeps unrooted
+// terms (esd.Engine and the search pin every synthesis). TryReclaim only
+// sweeps when no pins are held, and new pins briefly queue behind an
+// in-progress sweep.
 
 // pinGate serializes sweeps against pin acquisition: Pin holds it for an
 // instant, a sweep holds it for the sweep's duration. pinned counts live
@@ -43,10 +43,9 @@ var (
 	pinned  atomic.Int64
 )
 
-// Epoch/sweep counters (surfaced through Stats).
+// Epoch and reclaimed-bytes counters (surfaced through Stats).
 var (
 	epochCount     atomic.Uint64
-	sweepCount     atomic.Int64
 	reclaimedBytes atomic.Int64
 )
 
@@ -93,39 +92,12 @@ type ReclaimStats struct {
 	Duration time.Duration `json:"duration_ns"`
 }
 
-// rootProviders are callbacks that contribute extra roots to every sweep,
-// for long-lived holders of terms (an embedding cache, a REPL, ...). A
-// provider is called inside the stop-the-world window and must ONLY call
-// mark on the terms it keeps: constructing terms, or touching any other
-// expr API, from inside a provider deadlocks the sweep.
-var rootProviders = struct {
-	sync.Mutex
-	seq int
-	fns map[int]func(mark func(*Expr))
-}{fns: map[int]func(mark func(*Expr)){}}
-
-// RegisterRootProvider registers fn to contribute roots to every sweep
-// and returns its unregister function. See rootProviders for the (strict)
-// constraints on what fn may do.
-func RegisterRootProvider(fn func(mark func(*Expr))) (unregister func()) {
-	rootProviders.Lock()
-	defer rootProviders.Unlock()
-	id := rootProviders.seq
-	rootProviders.seq++
-	rootProviders.fns[id] = fn
-	return func() {
-		rootProviders.Lock()
-		defer rootProviders.Unlock()
-		delete(rootProviders.fns, id)
-	}
-}
-
 // TryReclaim sweeps the interned-term universe if and only if no pins are
-// held, keeping the constant cache, the given roots, provider-contributed
-// roots, and everything reachable from them. It returns the sweep stats
-// and whether a sweep ran; ok=false means a pinned goroutine was active
-// and nothing was touched. While the sweep runs, new Pin calls (and hence
-// new syntheses) block — that pause is the admission quiescence.
+// held, keeping the constant cache, the given roots, and everything
+// reachable from them. It returns the sweep stats and whether a sweep
+// ran; ok=false means a pinned goroutine was active and nothing was
+// touched. While the sweep runs, new Pin calls (and hence new syntheses)
+// block.
 func TryReclaim(roots ...*Expr) (ReclaimStats, bool) {
 	pinGate.Lock()
 	defer pinGate.Unlock()
@@ -145,30 +117,6 @@ func Reclaim(roots ...*Expr) ReclaimStats {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-}
-
-// ReclaimWait creates the sweep window a loaded process never offers
-// voluntarily: it blocks NEW pins immediately (admission quiesces), waits
-// up to wait for the existing pins to drain as their runs complete, then
-// sweeps. ok=false means the drain timed out and nothing was touched.
-// Unlike TryReclaim it can make progress on a busy system — the cost is
-// that every Pin call issued during the window stalls until the sweep
-// finishes or the wait expires. A goroutine that holds a pin and pins
-// again while a ReclaimWait is in progress stalls for the remaining wait
-// (the sweeper can never see zero pins then, so it times out and lets the
-// pinner proceed) — bounded latency, never deadlock. Like the other sweep
-// entry points, it must not be called from a pinned goroutine.
-func ReclaimWait(wait time.Duration, roots ...*Expr) (ReclaimStats, bool) {
-	pinGate.Lock()
-	defer pinGate.Unlock()
-	deadline := time.Now().Add(wait)
-	for pinned.Load() != 0 {
-		if time.Now().After(deadline) {
-			return ReclaimStats{Epoch: epochCount.Load()}, false
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return reclaim(roots), true
 }
 
 // reclaim is the stop-the-world mark-sweep. Caller holds pinGate with
@@ -208,11 +156,6 @@ func reclaim(roots []*Expr) ReclaimStats {
 	for _, e := range roots {
 		mark(e)
 	}
-	rootProviders.Lock()
-	for _, fn := range rootProviders.fns {
-		fn(mark)
-	}
-	rootProviders.Unlock()
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -300,7 +243,6 @@ func reclaim(roots []*Expr) ReclaimStats {
 	accountTerms(-int64(st.TermsReclaimed))
 	accountNames(-int64(st.NamesReclaimed), -nameBytes)
 	st.BytesReclaimed = bytesBefore - byteCount.Load()
-	sweepCount.Add(1)
 	reclaimedBytes.Add(st.BytesReclaimed)
 	epochCount.Add(1)
 

@@ -3,7 +3,7 @@ package expr
 import "esd/internal/telemetry"
 
 // Registry views over the interner's footprint and reclaim counters. The
-// atomics in intern.go/reclaim.go stay the single source of truth —
+// atomics in intern.go and reclaim.go stay the single source of truth —
 // InternerStats (the /healthz payload) and these scrape-time views read
 // the same values, so the two surfaces cannot disagree.
 func init() {
@@ -19,9 +19,6 @@ func init() {
 	telemetry.NewGaugeFunc("esd_interner_epoch",
 		"Current reclaim epoch (completed sweeps).",
 		func() int64 { return int64(epochCount.Load()) })
-	telemetry.NewCounterFunc("esd_interner_sweeps_total",
-		"Completed interner reclaim sweeps.",
-		func() int64 { return sweepCount.Load() })
 	telemetry.NewCounterFunc("esd_interner_bytes_reclaimed_total",
 		"Cumulative bytes released by reclaim sweeps.",
 		func() int64 { return reclaimedBytes.Load() })

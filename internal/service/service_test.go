@@ -14,6 +14,7 @@ import (
 
 	"esd"
 	"esd/internal/apps"
+	"esd/internal/expr"
 )
 
 func newTestServer(t *testing.T, cfg Config) *httptest.Server {
@@ -249,59 +250,6 @@ func TestServiceAppResolveMemoized(t *testing.T) {
 	}
 }
 
-// TestServiceReclaimEndpoint: POST /reclaim forces an epoch sweep when
-// the engine is idle, and /healthz surfaces the epoch, sweep count, and
-// bytes reclaimed.
-func TestServiceReclaimEndpoint(t *testing.T) {
-	ts := newTestServer(t, Config{})
-	// Put some synthesis-era terms in the store first.
-	resp, body := postJSON(t, ts.URL+"/synthesize", map[string]any{
-		"app": "listing1", "budget_ms": 60000, "seed": 1,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("synthesize: %d %s", resp.StatusCode, body)
-	}
-	resp, body = postJSON(t, ts.URL+"/reclaim", map[string]any{})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reclaim: %d %s", resp.StatusCode, body)
-	}
-	var sweep struct {
-		Epoch          uint64 `json:"epoch"`
-		TermsReclaimed int    `json:"terms_reclaimed"`
-		BytesReclaimed int64  `json:"bytes_reclaimed"`
-	}
-	if err := json.Unmarshal(body, &sweep); err != nil {
-		t.Fatalf("bad reclaim payload %s: %v", body, err)
-	}
-	if sweep.Epoch == 0 {
-		t.Errorf("sweep did not advance the epoch: %s", body)
-	}
-	if sweep.TermsReclaimed <= 0 || sweep.BytesReclaimed <= 0 {
-		t.Errorf("forced sweep reclaimed nothing after a synthesis: %s", body)
-	}
-
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(hresp.Body)
-	var h struct {
-		Interner struct {
-			Epoch          uint64 `json:"epoch"`
-			Sweeps         int64  `json:"sweeps"`
-			BytesReclaimed int64  `json:"bytes_reclaimed"`
-		} `json:"interner"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &h); err != nil {
-		t.Fatalf("bad healthz %s: %v", buf.String(), err)
-	}
-	if h.Interner.Epoch < sweep.Epoch || h.Interner.Sweeps < 1 || h.Interner.BytesReclaimed < sweep.BytesReclaimed {
-		t.Errorf("healthz does not reflect the sweep: %s", buf.String())
-	}
-}
-
 // TestServiceSSEStream asserts the streaming contract on the wire:
 // progress events then exactly one result event, which reports the bug
 // found.
@@ -390,7 +338,8 @@ func TestServiceConcurrencyLimit(t *testing.T) {
 }
 
 // TestServiceHealthz checks the health payload carries the interner and
-// engine cache observability fields.
+// engine cache observability fields, and that the top-level interner
+// block is the engine block's snapshot, not a second read.
 func TestServiceHealthz(t *testing.T) {
 	ts := newTestServer(t, Config{MaxConcurrent: 3})
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -404,17 +353,14 @@ func TestServiceHealthz(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var h struct {
-		Status           string `json:"status"`
-		Capacity         int    `json:"capacity"`
-		CompileCacheHits *int64 `json:"compile_cache_hits"`
-		BatchQueueDepth  *int64 `json:"batch_queue_depth"`
-		Interner         struct {
-			Terms  int   `json:"terms"`
-			Bytes  int64 `json:"bytes"`
-			Shards int   `json:"shards"`
-		} `json:"interner"`
-		Engine struct {
-			Synthesized int64 `json:"synthesized"`
+		Status           string     `json:"status"`
+		Capacity         int        `json:"capacity"`
+		CompileCacheHits *int64     `json:"compile_cache_hits"`
+		BatchQueueDepth  *int64     `json:"batch_queue_depth"`
+		Interner         expr.Stats `json:"interner"`
+		Engine           struct {
+			Synthesized int64      `json:"synthesized"`
+			Interner    expr.Stats `json:"interner"`
 		} `json:"engine"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &h); err != nil {
@@ -425,6 +371,9 @@ func TestServiceHealthz(t *testing.T) {
 	}
 	if h.Interner.Terms <= 0 || h.Interner.Bytes <= 0 || h.Interner.Shards <= 0 {
 		t.Errorf("interner stats missing: %s", buf.String())
+	}
+	if h.Interner != h.Engine.Interner {
+		t.Errorf("interner block %+v differs from the engine's %+v", h.Interner, h.Engine.Interner)
 	}
 	if h.CompileCacheHits == nil || h.BatchQueueDepth == nil {
 		t.Errorf("healthz missing promoted compile_cache_hits/batch_queue_depth: %s", buf.String())
