@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -364,5 +365,33 @@ func TestCheckpointPreemptStress(t *testing.T) {
 		if resume, err = DecodeCheckpoint(blob); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCheckpointFixtureResumes resumes a checkpoint committed as bytes
+// (listing1 preempted at its fifth poll) and requires the result to equal
+// the uninterrupted run: a job store written by an earlier build must keep
+// resuming identically after an upgrade.
+func TestCheckpointFixtureResumes(t *testing.T) {
+	golden := runUninterrupted(t)
+	blob, err := os.ReadFile("testdata/listing1_preempt5.ckpt.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := listing1Report(t)
+	prog := lang.MustCompile("listing1.c", listing1)
+	rec := telemetry.NewRecorder(0)
+	opts := checkpointOptions(rec)
+	opts.Resume = ck
+	res, err := Synthesize(context.Background(), prog, rep, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := summarize(t, res, rec); got != golden {
+		t.Fatalf("resumed fixture diverged from golden:\ngot:\n%s\n---\nwant:\n%s", got, golden)
 	}
 }
