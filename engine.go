@@ -238,21 +238,22 @@ func WithMaxSteps(n int64) SynthOption {
 }
 
 // WithParallelism runs the search frontier-parallel: n workers share one
-// sharded priority frontier (stealing work from each other's shards),
-// one cross-worker dedup set, and the compiled program and distance
-// tables, each running its own symbolic VM and solver; the first worker
-// to reach the goal cancels the rest. n <= 1 runs the unchanged
-// sequential searcher, so WithParallelism(1) is bit-identical to the
-// default. Frontier-parallel runs explore the same state space as the
-// sequential search but in a schedule-dependent order, so their step
-// counts and flight traces vary run to run; the synthesized execution
-// still strict-replays exactly.
+// sharded priority frontier (each pick takes the globally best state
+// from any shard), one cross-worker dedup set, and the compiled program
+// and distance tables, each running its own symbolic VM and solver; the
+// first worker to reach the goal cancels the rest. n <= 1 runs the same
+// driver with one worker and one shard — the sequential search — so
+// WithParallelism(1) is bit-identical to the default. Frontier-parallel
+// runs explore the same state space as the sequential search but in a
+// schedule-dependent order, so their step counts and flight traces vary
+// run to run; the synthesized execution still strict-replays exactly.
 func WithParallelism(n int) SynthOption {
 	return func(o *search.Options) { o.Parallelism = n }
 }
 
 // OnProgress streams progress events for this call. The callback runs
-// synchronously on the synthesis goroutine — keep it fast.
+// synchronously on a search worker's goroutine (the synthesis goroutine
+// itself at n=1), one call at a time — keep it fast.
 // SynthesizeBatch serializes calls across its workers, so a single
 // callback never runs concurrently with itself.
 func OnProgress(fn func(ProgressEvent)) SynthOption {
@@ -282,8 +283,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return search.DecodeCheckpoint(data)
 }
 
-// WithPreempt makes the synthesis preemptible: fn is polled at the top of
-// every search iteration (never mid-quantum), and returning true parks
+// WithPreempt makes the synthesis preemptible: fn is polled before every
+// pick of the search (never mid-quantum), and returning true parks
 // the run — the Result comes back with Preempted set and Checkpoint
 // holding the serialized search, resumable later with WithResume. The
 // jobs scheduler uses this to time-slice long syntheses. Only sequential
@@ -360,18 +361,14 @@ func (e *Engine) synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 	defer release()
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	// Request-scoped shared fact layers, created under the pin (so the
-	// interner epoch cannot move for their whole lifetime): the solver
-	// component cache and the infinite-distance prune memo are shared by
-	// every frontier worker of this request. They are attached
-	// unconditionally — sequential runs carry them too, which is what the
-	// determinism contract tests exercise (sharing is sound because the
-	// cached verdicts are pure functions of their keys).
+	// The request-scoped shared fact layer, created under the pin (so the
+	// interner epoch cannot move for its whole lifetime): the solver
+	// component cache shared by every frontier worker of this request. It
+	// is attached unconditionally — sequential runs carry it too, which is
+	// what the determinism contract tests exercise (sharing is sound
+	// because the cached verdicts are pure functions of their keys).
 	if so.SharedCache == nil {
 		so.SharedCache = solver.NewSharedCache()
-	}
-	if so.PruneFacts == nil {
-		so.PruneFacts = search.NewPruneFacts()
 	}
 	if so.PersistCache == nil && e.pcache != nil {
 		// The persistent tier sits outside the request-shared cache and is

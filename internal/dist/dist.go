@@ -263,8 +263,8 @@ func ForProgram(cg *cfa.CallGraph) *Calculator {
 	return ent.calc
 }
 
-// ResetSharedCache drops all cross-run Calculators (tests and memory
-// pressure relief for long-lived processes).
+// ResetSharedCache drops all cross-run Calculators. Tests and esdbench
+// call it to start from a cold cache.
 func ResetSharedCache() {
 	sharedCalcs.Lock()
 	defer sharedCalcs.Unlock()

@@ -14,14 +14,15 @@ import (
 	"esd/internal/telemetry"
 )
 
-// This file makes a sequential search preemptible and resumable: at the
-// top of the run loop (never mid-quantum) the searcher can be asked to
-// stop and serialize everything its future behavior depends on — the
-// frontier structures verbatim, the state graph, the VM's allocators, the
-// RNG draw count, and every counter that feeds the final Result. Resuming
-// replays none of the work: the loop continues from the exact iteration
-// it would have run next, which is what makes a preempted-and-resumed
-// run's DeterministicJSON byte-identical to an uninterrupted one.
+// This file makes a one-worker search preemptible and resumable: before
+// a pick (never mid-quantum) the run can be asked to stop and serialize
+// everything its future behavior depends on — the shard's structures
+// verbatim, the state graph, the VM's allocators, the RNG draw count, the
+// aging and sampling cadences, and every counter that feeds the final
+// Result. Resuming replays none of the work: the worker continues from
+// the exact pick it would have made next, which is what makes a
+// preempted-and-resumed run's DeterministicJSON byte-identical to an
+// uninterrupted one.
 //
 // The frontier is serialized structurally, not semantically: a live state
 // re-inserted after a quantum leaves its older heap entries behind (lazy
@@ -48,7 +49,7 @@ type HeapSlot struct {
 // poolTombstone marks a dead DFS/RandomPath pool slot in PoolOrder.
 const poolTombstone = -1
 
-// Checkpoint is a preempted sequential search, serialized. It captures
+// Checkpoint is a preempted sequential (one-worker) search, serialized. It captures
 // the run's identity (program fingerprint, goals, options that steer the
 // search), the full live-state graph, the frontier structures verbatim,
 // and the cumulative counters, so ResumeFrom continues the run as if it
@@ -83,7 +84,8 @@ type Checkpoint struct {
 	NextObjID   int         `json:"next_obj_id"`
 	CtxTick     int         `json:"ctx_tick"`
 
-	// Searcher bookkeeping.
+	// Search bookkeeping: AllPicks is the frontier-sample cadence,
+	// FrontPicks the worker's aging-pick cadence.
 	AllPicks   int   `json:"all_picks"`
 	FrontPicks int   `json:"front_picks"`
 	AgingPicks int64 `json:"aging_picks"`
@@ -210,13 +212,12 @@ func (c *countingSource) skip(n int64) {
 	}
 }
 
-// buildCheckpoint serializes the searcher at the run-loop top. res must
-// already hold the run's cumulative counters (the Synthesize assignment
-// block runs first), and detector is the run's race detector (nil when
-// detection is off).
-func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Checkpoint, error) {
-	roots := make([]*symex.State, 0, len(s.front.alive))
-	for st := range s.front.alive {
+// checkpoint serializes a preempted one-worker run. res is the run's
+// collected Result.
+func (r *searchRun) checkpoint(res *Result) *Checkpoint {
+	s, f := r.workers[0], r.shards[0].f
+	roots := make([]*symex.State, 0, len(f.alive))
+	for st := range f.alive {
 		roots = append(roots, st)
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].ID < roots[j].ID })
@@ -236,7 +237,7 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		MaxStates:       s.opts.MaxStates,
 		MaxSteps:        s.opts.MaxSteps,
 		PreemptionBound: s.opts.PreemptionBound,
-		WithRace:        detector != nil,
+		WithRace:        s.det != nil,
 		Ablate:          s.opts.Ablate,
 		Goals:           s.finalGoals,
 		NumQueues:       len(s.queues),
@@ -249,11 +250,11 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		NextObjID:   nextObjID,
 		CtxTick:     ctxTick,
 
-		AllPicks:   s.allPicks,
-		FrontPicks: s.front.picks,
+		AllPicks:   int(r.allPicks.Load()),
+		FrontPicks: int(s.picks),
 		AgingPicks: s.agingPicks,
-		Sheds:      s.sheds,
-		MaxDepth:   s.maxDepth,
+		Sheds:      res.Sheds,
+		MaxDepth:   res.MaxDepth,
 		BestFit:    s.bestFit,
 
 		Pool: symex.EncodePool(roots),
@@ -272,33 +273,33 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 		SolverVerifyRejects:  res.SolverVerifyRejects,
 
 		Recorder: s.opts.Recorder.Snapshot(),
-		Race:     detector.Snapshot(),
+		Race:     s.det.Snapshot(),
 	}
 	if s.opts.Strategy == StrategyESD {
 		ck.AliveKeys = make([][]int64, len(roots))
 		for i, st := range roots {
-			keys := s.front.alive[st]
+			keys := f.alive[st]
 			fits := make([]int64, len(keys))
 			for q, k := range keys {
 				fits[q] = k.fit
 			}
 			ck.AliveKeys[i] = fits
 		}
-		ck.Heaps = make([][]HeapSlot, len(s.front.heaps))
-		for q, h := range s.front.heaps {
+		ck.Heaps = make([][]HeapSlot, len(f.heaps))
+		for q, h := range f.heaps {
 			for _, e := range h {
 				if i, live := idx[e.st]; live {
 					ck.Heaps[q] = append(ck.Heaps[q], HeapSlot{S: i, F: e.key.fit})
 				}
 			}
 		}
-		for _, st := range s.front.fifo {
+		for _, st := range f.fifo {
 			if i, live := idx[st]; live {
 				ck.FIFO = append(ck.FIFO, i)
 			}
 		}
 	} else {
-		for _, st := range s.front.pool {
+		for _, st := range f.pool {
 			if i, live := idx[st]; live {
 				ck.PoolOrder = append(ck.PoolOrder, i)
 			} else {
@@ -319,27 +320,35 @@ func (s *searcher) buildCheckpoint(res *Result, detector *race.Detector) (*Check
 	case *sched.BoundedPolicy:
 		ck.PolPreemptions = p.Preemptions
 	}
-	return ck, nil
+	return ck
 }
 
-// restore rebuilds the searcher from a checkpoint: VM counters, RNG
-// position, frontier structures, and collaborator state. roots is the
-// decoded Pool.Roots slice. Called instead of run's fresh-frontier setup;
-// the caller then enters runLoop directly.
-func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.Detector) error {
+// restore rebuilds a fresh one-worker run from a checkpoint: the worker's
+// VM counters, RNG position, cadences and Result accumulators, the shard's
+// structures, the run's counters, and collaborator state. roots is the
+// decoded Pool.Roots slice. Called instead of placing an initial state.
+func (r *searchRun) restore(ck *Checkpoint, roots []*symex.State) error {
 	if len(roots) != len(ck.Pool.Roots) {
 		return fmt.Errorf("search: checkpoint decoded %d roots, expected %d", len(roots), len(ck.Pool.Roots))
 	}
+	s, f := r.workers[0], r.shards[0].f
 	s.eng.Stats = ck.EngStats
 	s.eng.RestoreCounters(ck.NextStateID, ck.NextObjID, ck.CtxTick)
 	s.rngSrc.skip(ck.RngDraws)
-	s.allPicks = ck.AllPicks
+	s.picks = int64(ck.FrontPicks)
 	s.agingPicks = ck.AgingPicks
-	s.sheds = ck.Sheds
-	s.maxDepth = ck.MaxDepth
 	s.bestFit = ck.BestFit
+	r.allPicks.Store(int64(ck.AllPicks))
+	r.sheds.Store(ck.Sheds)
+	r.maxDepth.Store(ck.MaxDepth)
+	r.bestFit.Store(ck.BestFit)
+	// Shift the solver baseline by the checkpointed consumption so the
+	// Result and progress events stay cumulative across the chain.
+	s.base = s.base.sub(solverCounts{ck.SolverQueries, ck.SolverHits, ck.SolverSharedHits,
+		ck.SolverPersistentHits, ck.SolverVerifyRejects, ck.SolverWallNS})
+	ck.restoreResult(s.res)
 
-	detector.Restore(ck.Race)
+	s.det.Restore(ck.Race)
 	switch p := s.eng.Policy.(type) {
 	case *sched.DeadlockPolicy:
 		p.SnapshotsTaken = ck.PolSnapshotsTaken
@@ -351,14 +360,13 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 		p.Preemptions = ck.PolPreemptions
 	}
 
-	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queues))
-	s.front.picks = ck.FrontPicks
+	r.live.Store(int64(len(roots)))
 	if s.opts.Strategy == StrategyESD {
 		if len(ck.AliveKeys) != len(roots) {
 			return fmt.Errorf("search: checkpoint has %d key rows for %d roots", len(ck.AliveKeys), len(roots))
 		}
-		if len(ck.Heaps) != len(s.front.heaps) {
-			return fmt.Errorf("search: checkpoint has %d heaps, frontier has %d", len(ck.Heaps), len(s.front.heaps))
+		if len(ck.Heaps) != len(f.heaps) {
+			return fmt.Errorf("search: checkpoint has %d heaps, frontier has %d", len(ck.Heaps), len(f.heaps))
 		}
 		for i, st := range roots {
 			fits := ck.AliveKeys[i]
@@ -372,7 +380,7 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 			// Direct alive/heaps assembly (not insert): the heap contents
 			// below carry the lazy-deletion history insert would not
 			// recreate.
-			s.front.alive[st] = keys
+			f.alive[st] = keys
 		}
 		for q, slots := range ck.Heaps {
 			for _, sl := range slots {
@@ -380,14 +388,14 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 					return fmt.Errorf("search: heap %d references invalid root %d", q, sl.S)
 				}
 				st := roots[sl.S]
-				s.front.heaps[q].push(heapEntry{st: st, key: esdKey{fit: sl.F, id: st.ID}})
+				f.heaps[q].push(heapEntry{st: st, key: esdKey{fit: sl.F, id: st.ID}})
 			}
 		}
 		for _, ri := range ck.FIFO {
 			if ri < 0 || ri >= len(roots) {
 				return fmt.Errorf("search: fifo references invalid root %d", ri)
 			}
-			s.front.fifo = append(s.front.fifo, roots[ri])
+			f.fifo = append(f.fifo, roots[ri])
 		}
 	} else {
 		// One shared tombstone stands in for every dead slot: the pool is
@@ -395,14 +403,14 @@ func (s *searcher) restore(ck *Checkpoint, roots []*symex.State, detector *race.
 		// it replays a dead slot's behavior (one discarded draw) exactly.
 		tombstone := &symex.State{}
 		for _, st := range roots {
-			s.front.alive[st] = nil
+			f.alive[st] = nil
 		}
 		for _, ri := range ck.PoolOrder {
 			switch {
 			case ri == poolTombstone:
-				s.front.pool = append(s.front.pool, tombstone)
+				f.pool = append(f.pool, tombstone)
 			case ri >= 0 && ri < len(roots):
-				s.front.pool = append(s.front.pool, roots[ri])
+				f.pool = append(f.pool, roots[ri])
 			default:
 				return fmt.Errorf("search: pool references invalid root %d", ri)
 			}

@@ -7,15 +7,13 @@ import (
 	"esd/internal/symex"
 )
 
-// queueFrontier owns one frontier's live-state structures: the §3.4
+// queueFrontier owns one frontier shard's live-state structures: the §3.4
 // virtual priority queues (ESD), the plain pool (DFS/RandomPath), and the
-// anti-starvation FIFO. It was extracted from the searcher so a
-// frontier-parallel run can shard the frontier: each shard is one
-// queueFrontier behind its own mutex, and the sequential searcher is
-// simply the one-shard case with no lock.
+// anti-starvation FIFO. A search runs one shard per worker (see
+// parallel.go); a sequential search is the one-worker, one-shard case.
 //
-// A queueFrontier is not safe for concurrent use; parallel callers hold
-// their shard's lock around every method.
+// A queueFrontier is not safe for concurrent use; callers hold the
+// shard's lock around every method.
 type queueFrontier struct {
 	strategy    Strategy
 	schedGuided bool
@@ -34,9 +32,9 @@ type queueFrontier struct {
 	// livelocks when scheduling policies fork equal-fitness states faster
 	// than lineages terminate (every successor waits behind the whole
 	// band); the aging pick guarantees each state is eventually run, which
-	// is what completes multi-party deadlock lineages.
-	fifo  []*symex.State
-	picks int
+	// is what completes multi-party deadlock lineages. The aging cadence
+	// is counted per worker (searcher.picks), not per shard.
+	fifo []*symex.State
 }
 
 func newQueueFrontier(strategy Strategy, schedGuided bool, numQueues int) *queueFrontier {
@@ -74,14 +72,10 @@ func (f *queueFrontier) remove(st *symex.State) {
 	delete(f.alive, st)
 }
 
-// pick removes and returns the next state to run per strategy, plus
-// whether it came from the aging FIFO. rng drives queue selection, so two
-// runs with the same seed pick identically.
-func (f *queueFrontier) pick(rng *rand.Rand) (*symex.State, bool) {
-	if f.strategy == StrategyESD {
-		return f.pickESD(rng)
-	}
-	// DFS / RandomPath operate on the pool slice, compacting dead entries.
+// pickPool removes and returns the next DFS/RandomPath state: the newest
+// for DFS, a uniformly random one for RandomPath (rng drives the draw, so
+// two runs with the same seed pick identically).
+func (f *queueFrontier) pickPool(rng *rand.Rand) *symex.State {
 	for len(f.pool) > 0 {
 		var idx int
 		switch f.strategy {
@@ -94,16 +88,16 @@ func (f *queueFrontier) pick(rng *rand.Rand) (*symex.State, bool) {
 		f.pool = append(f.pool[:idx], f.pool[idx+1:]...)
 		if _, ok := f.alive[st]; ok {
 			f.remove(st)
-			return st, false
+			return st
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // peekQueue reports the best live key in virtual queue q, discarding dead
-// lazy-deletion entries from the heap top on the way. A parallel run uses
-// it to compare shard heads before committing to a pop, so a worker takes
-// the globally best state rather than its own shard's best.
+// lazy-deletion entries from the heap top on the way. A pick uses it to
+// compare shard heads before committing to a pop, so a worker takes the
+// globally best state rather than its own shard's best.
 func (f *queueFrontier) peekQueue(q int) (esdKey, bool) {
 	h := &f.heaps[q]
 	for {
@@ -149,104 +143,35 @@ func (f *queueFrontier) pickFIFO() *symex.State {
 	return nil
 }
 
-// pickESD chooses a virtual queue uniformly at random and takes its best
-// live state: lowest (fitness, ID), where fitness weights the graded §4.1
-// schedule distance far above the instruction-level data distance. Entries
-// for states already taken are discarded lazily. Every agingPeriod-th pick
-// comes from the insertion-order FIFO instead (see the fifo field).
-func (f *queueFrontier) pickESD(rng *rand.Rand) (*symex.State, bool) {
-	if f.schedGuided {
-		f.picks++
-		if f.picks%agingPeriod == 0 {
-			if st := f.pickFIFO(); st != nil {
-				return st, true
-			}
-		}
-	}
-	for attempts := 0; attempts < 2*len(f.heaps); attempts++ {
-		q := rng.Intn(len(f.heaps))
-		for {
-			e, ok := f.heaps[q].pop()
-			if !ok {
-				break // this queue is drained; try another
-			}
-			if _, live := f.alive[e.st]; live {
-				f.remove(e.st)
-				return e.st, false
-			}
-		}
-	}
-	// All sampled queues empty: scan for any remaining live state.
-	for q := range f.heaps {
-		for {
-			e, ok := f.heaps[q].pop()
-			if !ok {
-				break
-			}
-			if _, live := f.alive[e.st]; live {
-				f.remove(e.st)
-				return e.st, false
-			}
-		}
-	}
-	return nil, false
-}
-
-// shedWorst drops the worse half of the live states using the keys they
-// were scored with at insertion. The sequential searcher re-scores the
-// whole pool when it sheds (distances may have improved since insertion;
-// see searcher.shedStates) — a parallel shard sheds locally under its own
-// lock, where re-scoring would stall every other worker, so stored keys
-// are the deliberate trade. Returns the number of states dropped.
-func (f *queueFrontier) shedWorst() int {
+// shed keeps the better half of the live states and drops the rest;
+// rank maps a state and its stored per-queue keys to the key it is ranked
+// by (lower is better). Keys are total (unique state IDs), so the kept
+// set and its re-insertion order are deterministic despite map iteration.
+// Returns the number of states dropped.
+func (f *queueFrontier) shed(rank func(*symex.State, []esdKey) esdKey) int {
 	if f.size() < 2 {
 		return 0
 	}
-	if f.strategy != StrategyESD {
-		// No fitness to rank by: keep the newest half (the pool tail),
-		// matching DFS's preference for deep states.
-		type entry struct {
-			st   *symex.State
-			keys []esdKey
-		}
-		keepFrom := len(f.pool) / 2
-		kept := make([]entry, 0, len(f.pool)-keepFrom)
-		for _, st := range f.pool[keepFrom:] {
-			if keys, ok := f.alive[st]; ok {
-				kept = append(kept, entry{st, keys})
-			}
-		}
-		dropped := f.size() - len(kept)
-		f.reset()
-		for _, e := range kept {
-			f.insert(e.st, e.keys)
-		}
-		return dropped
-	}
-	type scored struct {
+	type ranked struct {
 		st   *symex.State
 		keys []esdKey
+		k    esdKey
 	}
-	arr := make([]scored, 0, f.size())
+	arr := make([]ranked, 0, f.size())
 	for st, keys := range f.alive {
-		arr = append(arr, scored{st, keys})
+		arr = append(arr, ranked{st, keys, rank(st, keys)})
 	}
-	// Rank by the final-goal key (the last queue), as the sequential shed
-	// does; keys are total (unique state IDs), so the order is
-	// deterministic despite map iteration.
-	last := f.numQueues - 1
-	sort.Slice(arr, func(i, j int) bool { return arr[i].keys[last].less(arr[j].keys[last]) })
+	sort.Slice(arr, func(i, j int) bool { return arr[i].k.less(arr[j].k) })
 	keep := len(arr) / 2
-	dropped := len(arr) - keep
 	f.reset()
-	for i := 0; i < keep; i++ {
-		f.insert(arr[i].st, arr[i].keys)
+	for _, e := range arr[:keep] {
+		f.insert(e.st, e.keys)
 	}
-	return dropped
+	return len(arr) - keep
 }
 
 // reset clears every structure, dropping backing arrays so shed states
-// become collectable. The pick cadence (picks) survives.
+// become collectable.
 func (f *queueFrontier) reset() {
 	f.alive = map[*symex.State][]esdKey{}
 	f.pool = nil

@@ -9,255 +9,92 @@ import (
 	"unsafe"
 
 	"esd/internal/dist"
-	"esd/internal/mir"
-	"esd/internal/race"
-	"esd/internal/report"
 	"esd/internal/sched"
 	"esd/internal/solver"
 	"esd/internal/symex"
 	"esd/internal/telemetry"
 )
 
-// This file implements frontier-parallel search (Options.Parallelism > 1):
-// the §3.4 priority frontier sharded across n workers with work stealing.
+// This file implements the search driver: the §3.4 priority frontier
+// sharded across n workers (Options.Parallelism, at least 1).
 //
 // Division of labor:
 //
 //   - The plan (goals, analyses, distance tables, queue layout) is built
-//     once and shared read-only; the interned term store is already
-//     concurrent (PR 2), so states forked by different workers share
-//     pointer-equal terms.
-//   - Each worker owns a full sequential searcher — its own symex VM
-//     (with a disjoint state-ID range, so the priority tie-break stays
-//     total), solver, scheduling-policy instance, and race detector — and
-//     reuses quantum/admit/terminal/prunable verbatim. Only insertion is
-//     diverted (searcher.route): forks are scored by the producing worker
-//     and placed round-robin into the shared shards.
-//   - A shared dedup set drops states whose decision history (path
-//     condition + schedule) another worker already admitted — the
+//     once and shared read-only; the interned term store is concurrent,
+//     so states forked by different workers share pointer-equal terms.
+//   - Each worker is a searcher with its own symex VM (with a disjoint
+//     state-ID range, so the priority tie-break stays total), solver,
+//     scheduling-policy instance, and race detector. It loops: take the
+//     globally best state from the shards, run one quantum, place the
+//     scored forks and survivor round-robin into the shards, sync the
+//     run's counters, and shed when the run is over its state budget.
+//   - With n > 1, a shared dedup set drops states whose decision history
+//     (path condition + schedule) another worker already admitted — the
 //     redundancy source is snapshot activation, where sibling states
 //     carry the same K_S snapshots.
 //   - The first worker to reach a goal state wins and cancels the rest
 //     through the run-scoped context; budget exhaustion and interner
 //     epoch violations propagate the same way.
 //
-// Determinism: a parallel run's outcome depends on the OS scheduler, so
-// it makes no replay promise itself; the contract is that the *winning
-// state's* execution file replays strictly, and that Parallelism <= 1
-// never reaches this file (Synthesize normalizes it away), keeping the
-// sequential path bit-identical to its history.
+// Determinism: one worker over one shard is the sequential search. It
+// runs on the caller's goroutine, draws the same random numbers in the
+// same order as the sequential algorithm, and records its trace on the
+// pick-count cadence, so a seed replays byte for byte and a preempted run
+// can be checkpointed and resumed (checkpoint.go). With n > 1 the
+// outcome depends on the OS scheduler, so the run makes no replay
+// promise; the contract is that the winning state's execution file
+// replays strictly.
 
 // parallelSeedStride separates worker rng streams; any odd constant works,
 // a prime keeps accidental stream overlap improbable.
 const parallelSeedStride = 7919
 
-// synthesizeParallel runs the frontier-parallel search. Called from
-// Synthesize (which already pinned the interner and normalized defaults)
-// with opts.Parallelism > 1.
-func synthesizeParallel(ctx context.Context, prog *mir.Program, rep *report.Report, opts Options) (*Result, error) {
-	start := time.Now()
-	emit := func(ph Phase, live int) {
-		if opts.OnProgress != nil {
-			now := time.Now()
-			opts.OnProgress(ProgressEvent{Phase: ph, Time: now, Elapsed: now.Sub(start), Live: live})
-		}
-		opts.Recorder.Phase(ph.String(), 0, 0)
-	}
-	emit(PhaseAnalyze, 0)
-
-	pl, err := buildPlan(prog, rep, opts)
-	if err != nil {
-		return nil, err
-	}
-	n := opts.Parallelism
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	r := &parallelRun{
-		opts:   opts,
-		ctx:    runCtx,
-		cancel: cancel,
-		start:  start,
-		shards: make([]*frontierShard, n),
-		dedup:  newDedupSet(),
-	}
-	r.idleCond = sync.NewCond(&r.idleMu)
-	r.bestFit.Store(dist.Infinite)
-	// The shed budget is global and work-conserving: the run holds the
-	// same aggregate capacity as before (n × MaxStates — shedding is
-	// lossy, and an aggregate below that in practice cost big-frontier
-	// runs like ls4 their bug), but no single shard has a private cap.
-	// A fixed per-shard threshold shed whenever round-robin placement
-	// momentarily overloaded one shard, making sheds n× more frequent
-	// than the sequential search's even with aggregate headroom to
-	// spare; under the global budget, capacity rebalances toward loaded
-	// shards and a shed happens only when the whole run is over budget.
-	// States are copy-on-write, so the memory multiplier is far below n×.
-	r.shedBudget = int64(n) * int64(opts.MaxStates)
-	for i := range r.shards {
-		r.shards[i] = &frontierShard{
-			f: newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queues)),
-		}
-	}
-
-	workers := make([]*parallelWorker, n)
-	for i := 0; i < n; i++ {
-		sol := opts.Solver
-		var put func()
-		if i > 0 || sol == nil {
-			if opts.Solvers != nil {
-				ps := opts.Solvers.Get()
-				sol = ps
-				put = func() { opts.Solvers.Put(ps) }
-			} else {
-				sol = solver.New()
-			}
-		}
-		// Attach the request's shared fact layer: each worker's solver
-		// stays single-threaded, but on a private-cache miss it consults
-		// (and publishes into) the concurrency-safe shared cache, so the
-		// n workers stop re-solving each other's components — the
-		// solver-bound apps' parallel regression.
-		sol.Shared = opts.SharedCache
-		// The persistent cross-run tier attaches below the shared layer
-		// (same single-threaded solver, concurrency-safe store).
-		sol.Persist = opts.PersistCache
-		eng, det := pl.newVM(runCtx, opts, sol)
-		// Disjoint ID ranges keep state and object IDs unique across
-		// workers (states migrate between engines when stolen).
-		eng.SetIDBase(i << 40)
-		wopts := opts
-		wopts.Seed = opts.Seed + int64(i)*parallelSeedStride
-		w := &parallelWorker{
-			id:             i,
-			s:              newSearcher(pl, runCtx, wopts, eng, sol, start),
-			det:            det,
-			res:            &Result{Terminals: map[symex.StateStatus]int64{}},
-			putSolver:      put,
-			solHitsBase:    sol.CacheHits,
-			solSharedBase:  sol.SharedHits,
-			solPersistBase: sol.PersistentHits,
-			solRejectBase:  sol.VerifyRejects,
-			solWallBase:    sol.WallNanos,
-		}
-		w.s.route = func(st *symex.State, dv []int64) { r.place(w, st, dv) }
-		workers[i] = w
-	}
-	defer func() {
-		for _, w := range workers {
-			// Detach before any solver outlives the run (pooled or
-			// caller-owned): a stale attachment would leak this request's
-			// facts into the next run and pin a dead cache alive.
-			w.s.sol.Shared = nil
-			w.s.sol.Persist = nil
-			if w.putSolver != nil {
-				w.putSolver()
-			}
-		}
-	}()
-
-	init, err := workers[0].s.eng.InitialState()
-	if err != nil {
-		return nil, err
-	}
-	r.place(workers[0], init, nil)
-	emit(PhaseSearch, 1)
-
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go r.runWorker(w, &wg)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-
-	// The driver goroutine owns OnProgress and the Recorder (neither is
-	// safe for concurrent use), sampling the shared atomics on a wall
-	// cadence. A parallel trace is inherently nondeterministic, so there
-	// is no pick-count cadence to preserve here — the n=1 path keeps it.
-	ticker := time.NewTicker(opts.ProgressInterval)
-	defer ticker.Stop()
-drive:
-	for {
-		select {
-		case <-done:
-			break drive
-		case now := <-ticker.C:
-			r.progress(now)
-		}
-	}
-
-	if r.err != nil {
-		return nil, r.err
-	}
-	res := r.collect(workers, n)
-	res.IntermediateGoalSets = pl.nInter
-	if res.Found != nil {
-		opts.Recorder.Record(telemetry.Event{
-			Kind:          telemetry.EventFound,
-			Steps:         res.Steps,
-			States:        res.StatesCreated,
-			Depth:         res.MaxDepth,
-			SolverQueries: int64(res.SolverQueries),
-		})
-	}
-	flushTelemetry(res)
-	return res, nil
-}
-
-// frontierShard is one lock-protected slice of the shared frontier.
+// frontierShard is one lock-protected slice of the run's frontier.
 type frontierShard struct {
 	mu sync.Mutex
 	f  *queueFrontier
 }
 
-// parallelWorker is one frontier worker: a full sequential searcher with
-// insertions diverted to the shared shards, plus per-worker attribution.
-type parallelWorker struct {
-	id  int
-	s   *searcher
-	det *race.Detector
-	// res absorbs the worker's quantum-level counters (terminals, prunes,
-	// other bugs); the driver folds them into the final Result.
-	res            *Result
-	putSolver      func()
-	solHitsBase    int
-	solSharedBase  int
-	solPersistBase int
-	solRejectBase  int
-	solWallBase    int64
-
-	picks     int64
-	pickTick  int64 // aging cadence (the sequential frontier counts per-frontier; here it is per-worker)
-	busyNS    int64
-	lastSteps int64
-	lastStats int64
-	found     bool
-}
-
-// parallelRun is the shared coordination state of one parallel search.
-type parallelRun struct {
+// searchRun is the shared coordination state of one search.
+type searchRun struct {
 	opts   Options
+	pl     *plan
 	ctx    context.Context
 	cancel context.CancelFunc
 	start  time.Time
 
-	shards []*frontierShard
+	workers []*searcher
+	shards  []*frontierShard
 	// shedBudget is the global live-state budget (n × MaxStates); shedMu
-	// serializes the all-shard shed that runs when the budget overflows.
+	// serializes the all-shard shed that runs when a worker finds the run
+	// over it. The budget is work-conserving: no shard has a private cap,
+	// so round-robin placement momentarily loading one shard never sheds
+	// while the run as a whole has headroom.
 	shedBudget int64
 	shedMu     sync.Mutex
-	dedup      *dedupSet
+	// dedup is the cross-worker dedup set; nil with one worker, where
+	// nothing can duplicate another worker's admissions.
+	dedup *dedupSet
 
 	rr         atomic.Uint64 // round-robin insertion cursor
 	live       atomic.Int64  // states currently sitting in shards
 	busy       atomic.Int64  // workers currently holding a state
 	steps      atomic.Int64  // executed instructions, all workers
 	states     atomic.Int64  // states created, all workers
+	queries    atomic.Int64  // solver queries, all workers
 	bestFit    atomic.Int64
 	maxDepth   atomic.Int64
 	sheds      atomic.Int64
 	dedupDrops atomic.Int64
+
+	// mu serializes the Recorder and OnProgress, neither of which is safe
+	// for concurrent use. allPicks drives the deterministic frontier-sample
+	// cadence (counted only while a Recorder is attached); lastProgress is
+	// the elapsed time of the last periodic progress event.
+	mu           sync.Mutex
+	allPicks     atomic.Int64
+	lastProgress atomic.Int64
 
 	// Idle-worker wakeup. A worker that scans every shard empty sleeps on
 	// idleCond instead of spinning; inserts is a monotone sequence number
@@ -275,34 +112,306 @@ type parallelRun struct {
 
 	done     atomic.Bool
 	timedOut atomic.Bool
+	// preempted is set when Options.Preempt stopped the run (one worker
+	// only: Synthesize clears Preempt for n > 1).
+	preempted bool
 
 	winnerMu sync.Mutex
 	winner   *symex.State
-	winnerW  int
 
 	errOnce sync.Once
 	err     error
 }
 
-// place scores a freshly produced state on the producing worker's
-// searcher (from its distance vector dv when the prune gate computed one),
-// drops it if another worker already admitted an equivalent
-// decision history, and otherwise inserts it into the next shard
-// round-robin (shedding that shard if it overflowed its share).
-func (r *parallelRun) place(w *parallelWorker, st *symex.State, dv []int64) {
-	var keys []esdKey
-	if w.s.opts.Strategy == StrategyESD {
-		keys = w.s.scoreState(st, dv)
-		// Propagate the worker's improving final-goal fitness to the
-		// shared progress view.
-		for {
-			cur := r.bestFit.Load()
-			if w.s.bestFit >= cur || r.bestFit.CompareAndSwap(cur, w.s.bestFit) {
-				break
+// newSearchRun builds the run and its n workers over the plan: one shard
+// per worker, and per worker a solver (opts.Solver for worker 0 when set,
+// else one from opts.Solvers, else a fresh one) attached to the request's
+// shared and persistent fact layers, a private VM, and a seed offset by
+// the worker index. Call release when the run is over.
+func newSearchRun(ctx context.Context, pl *plan, opts Options, n int, start time.Time) *searchRun {
+	runCtx, cancel := context.WithCancel(ctx)
+	r := &searchRun{
+		opts:       opts,
+		pl:         pl,
+		ctx:        runCtx,
+		cancel:     cancel,
+		start:      start,
+		shards:     make([]*frontierShard, n),
+		shedBudget: int64(n) * int64(opts.MaxStates),
+	}
+	if n > 1 {
+		r.dedup = newDedupSet()
+	}
+	r.idleCond = sync.NewCond(&r.idleMu)
+	r.bestFit.Store(dist.Infinite)
+	r.lastProgress.Store(-int64(opts.ProgressInterval)) // the first pick reports
+	for i := range r.shards {
+		r.shards[i] = &frontierShard{f: newQueueFrontier(opts.Strategy, pl.schedGuided, len(pl.queues))}
+	}
+	for i := 0; i < n; i++ {
+		sol := opts.Solver
+		var put func()
+		if i > 0 || sol == nil {
+			if opts.Solvers != nil {
+				ps := opts.Solvers.Get()
+				sol = ps
+				put = func() { opts.Solvers.Put(ps) }
+			} else {
+				sol = solver.New()
 			}
 		}
+		// Attach the request's shared fact layer: each worker's solver
+		// stays single-threaded, but on a private-cache miss it consults
+		// (and publishes into) the concurrency-safe shared cache, so the
+		// workers stop re-solving each other's components. The persistent
+		// cross-run tier attaches below it. release detaches both.
+		if opts.SharedCache != nil {
+			sol.Shared = opts.SharedCache
+		}
+		if opts.PersistCache != nil {
+			sol.Persist = opts.PersistCache
+		}
+		eng, det := pl.newVM(runCtx, opts, sol)
+		// Disjoint ID ranges keep state and object IDs unique across
+		// workers (states migrate between engines through the shards).
+		eng.SetIDBase(i << 40)
+		wopts := opts
+		wopts.Seed = opts.Seed + int64(i)*parallelSeedStride
+		s := newSearcher(pl, wopts, eng, sol)
+		s.id, s.r, s.det, s.putSolver = i, r, det, put
+		r.workers = append(r.workers, s)
 	}
-	if r.dedup.seen(stateKey(st)) {
+	return r
+}
+
+// release detaches the fact layers before any solver outlives the run
+// (pooled or caller-owned: a stale attachment would leak this request's
+// facts into the next run and pin a dead cache alive) and returns pooled
+// solvers.
+func (r *searchRun) release() {
+	r.cancel()
+	for _, s := range r.workers {
+		if r.opts.SharedCache != nil {
+			s.sol.Shared = nil
+		}
+		if r.opts.PersistCache != nil {
+			s.sol.Persist = nil
+		}
+		if s.putSolver != nil {
+			s.putSolver()
+		}
+	}
+}
+
+// runWorkers runs every worker to the end of the search: worker 0 on the
+// calling goroutine, the rest on their own.
+func (r *searchRun) runWorkers() {
+	var wg sync.WaitGroup
+	for _, s := range r.workers[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work(s)
+		}()
+	}
+	r.work(r.workers[0])
+	wg.Wait()
+}
+
+// work is one worker's life: take a state, run a quantum (which places
+// forks and survivors back through place), sync the shared counters, shed
+// if the run is over budget, repeat.
+func (r *searchRun) work(s *searcher) {
+	// A worker only exits when the run is ending (found, budget, cancel,
+	// exhaustion, preemption, hard error); wake any sleeping peer so it
+	// re-observes the terminal condition instead of waiting for an insert
+	// that will never come.
+	defer r.wakeAll()
+	searchWorkers.Add(1)
+	defer searchWorkers.Add(-1)
+	for {
+		st := r.take(s)
+		if st == nil {
+			return
+		}
+		t0 := time.Now()
+		found, err := s.quantum(st)
+		s.busyNS += time.Since(t0).Nanoseconds()
+		r.sync(s)
+		r.busy.Add(-1)
+		if err != nil {
+			if errors.Is(err, symex.ErrEpochChanged) {
+				// Not a scheduling outcome: the interner was swept under
+				// this live run, every held term is suspect. Surface it.
+				r.errOnce.Do(func() { r.err = err })
+				r.finish()
+			}
+			// ErrInterrupted: the VM observed the cancelled run context
+			// mid-quantum; collect classifies the outcome.
+			return
+		}
+		if found != nil {
+			r.setWinner(s, found)
+			return
+		}
+		if r.live.Load() > r.shedBudget {
+			r.shed(s)
+		}
+	}
+}
+
+// finish ends the run for every worker.
+func (r *searchRun) finish() {
+	r.done.Store(true)
+	r.cancel()
+}
+
+// take pops the next state for s. It returns nil when the run should
+// stop. The stop rules are checked in order at every pick: the search
+// space is exhausted (every shard empty while no worker holds a state
+// that could refill them), the context is done, the budget (wall time or
+// MaxSteps) is spent, Preempt asks for a checkpoint. Preemption is thus
+// polled between quanta only, so a checkpoint never splits one. Then the
+// progress and trace hooks run, and the pick itself. On success the
+// worker is counted busy (incremented before the pop, so a momentarily
+// empty frontier with a state in flight never reads as exhaustion). A
+// worker that finds every shard empty while peers are still running
+// sleeps on idleCond until an insert or a terminal condition wakes it.
+func (r *searchRun) take(s *searcher) *symex.State {
+	for {
+		// Capture the insert sequence before scanning: any insert after
+		// this point bumps it, so the wait below either sees the bump and
+		// rescans or provably scanned a frontier that already contained
+		// every insert it could have missed.
+		seq := r.inserts.Load()
+		if r.done.Load() {
+			return nil
+		}
+		if r.live.Load() == 0 && r.busy.Load() == 0 {
+			return nil // exhausted; work's deferred wakeAll tells the peers
+		}
+		if r.ctx.Err() != nil {
+			return nil
+		}
+		now := time.Now()
+		if r.budgetExceeded(now) {
+			r.timedOut.Store(true)
+			r.finish()
+			return nil
+		}
+		if r.opts.Preempt != nil && r.opts.Preempt() {
+			r.preempted = true
+			r.done.Store(true)
+			return nil
+		}
+		if r.live.Load() > 0 {
+			r.observe(now)
+			r.busy.Add(1)
+			if st := r.pick(s); st != nil {
+				s.taken++
+				r.live.Add(-1)
+				return st
+			}
+			r.busy.Add(-1)
+		}
+		r.idleMu.Lock()
+		r.waiters.Add(1)
+		for r.inserts.Load() == seq && !r.done.Load() && r.ctx.Err() == nil &&
+			!(r.live.Load() == 0 && r.busy.Load() == 0) {
+			r.idleCond.Wait()
+		}
+		r.waiters.Add(-1)
+		r.idleMu.Unlock()
+	}
+}
+
+// pick pops one state for s in the global search order. ESD picks choose
+// a virtual queue with the worker's rng, peek every shard's best key in
+// that queue, and pop from the shard holding the minimum. Every live
+// state is in every queue's heap, so one queue's shard heads cover the
+// whole frontier, and with one shard this is exactly one draw and one
+// pop per pick. With n > 1 the peek-then-pop window is racy — a peer can
+// take the peeked state first — but the pop then takes that shard's
+// next-best, so the order stays approximately global, and the loop
+// rescans if the shard drained entirely.
+//
+// Every agingPeriod-th ESD pick of a worker (schedule-guided searches
+// only) drains the first non-empty FIFO in ring order instead —
+// oldest-of-one-shard rather than oldest-globally, which is enough for
+// the guarantee the FIFO exists for: every state is eventually run.
+// DFS/RandomPath have no cross-shard order to preserve: they take from
+// the first non-empty shard in ring order.
+func (r *searchRun) pick(s *searcher) *symex.State {
+	n := len(r.shards)
+	if r.opts.Strategy != StrategyESD {
+		for i := 0; i < n; i++ {
+			shard := r.shards[(s.id+i)%n]
+			shard.mu.Lock()
+			st := shard.f.pickPool(s.rng)
+			shard.mu.Unlock()
+			if st != nil {
+				return st
+			}
+		}
+		return nil
+	}
+	if r.pl.schedGuided {
+		s.picks++
+		if s.picks%agingPeriod == 0 {
+			for i := 0; i < n; i++ {
+				shard := r.shards[(s.id+i)%n]
+				shard.mu.Lock()
+				st := shard.f.pickFIFO()
+				shard.mu.Unlock()
+				if st != nil {
+					s.agingPicks++
+					return st
+				}
+			}
+			// Every FIFO empty: fall through to a fitness pick.
+		}
+	}
+	q := s.rng.Intn(len(r.pl.queues))
+	for {
+		best := -1
+		var bestKey esdKey
+		for i := 0; i < n; i++ {
+			idx := (s.id + i) % n
+			shard := r.shards[idx]
+			shard.mu.Lock()
+			key, ok := shard.f.peekQueue(q)
+			shard.mu.Unlock()
+			if ok && (best < 0 || key.less(bestKey)) {
+				best, bestKey = idx, key
+			}
+		}
+		if best < 0 {
+			return nil
+		}
+		shard := r.shards[best]
+		shard.mu.Lock()
+		st := shard.f.popQueue(q)
+		shard.mu.Unlock()
+		if st != nil {
+			return st
+		}
+	}
+}
+
+// place scores a freshly produced state on the producing worker's
+// searcher (from its distance vector dv when the prune gate computed one),
+// drops it if another worker already admitted an equivalent decision
+// history, and otherwise inserts it into the next shard round-robin.
+func (r *searchRun) place(s *searcher, st *symex.State, dv []int64) {
+	keys := s.scoreState(st, dv)
+	// Propagate the worker's improving final-goal fitness to the run.
+	for {
+		cur := r.bestFit.Load()
+		if s.bestFit >= cur || r.bestFit.CompareAndSwap(cur, s.bestFit) {
+			break
+		}
+	}
+	if r.dedup != nil && r.dedup.seen(stateKey(st)) {
 		r.dedupDrops.Add(1)
 		return
 	}
@@ -316,19 +425,18 @@ func (r *parallelRun) place(w *parallelWorker, st *symex.State, dv []int64) {
 	shard.mu.Lock()
 	shard.f.insert(st, keys)
 	shard.mu.Unlock()
-	live := r.live.Add(1)
+	r.live.Add(1)
 	r.signalInsert()
-	if live > r.shedBudget {
-		r.shedOverBudget()
-	}
 }
 
-// shedOverBudget runs the work-conserving shed: when the run's aggregate
-// live count exceeds the global budget, every shard drops its worse half
-// (the same keep-half policy the sequential search applies at MaxStates).
-// shedMu serializes shedders and the re-check under it collapses the
-// thundering herd of workers that observed the same overflow.
-func (r *parallelRun) shedOverBudget() {
+// shed runs the work-conserving shed: when the run's live count exceeds
+// the global budget, every shard keeps its better half. ESD ranks states
+// by the final-queue key stored at insertion (states do not change while
+// they sit in the frontier, so it equals a fresh score); DFS/RandomPath
+// rank by a distance-scored key (searcher.shedKey). shedMu serializes
+// shedders, and the re-check under it collapses the thundering herd of
+// workers that observed the same overflow.
+func (r *searchRun) shed(s *searcher) {
 	r.shedMu.Lock()
 	defer r.shedMu.Unlock()
 	if r.live.Load() <= r.shedBudget {
@@ -337,334 +445,206 @@ func (r *parallelRun) shedOverBudget() {
 	var shed int64
 	for _, shard := range r.shards {
 		shard.mu.Lock()
-		shed += int64(shard.f.shedWorst())
+		shed += int64(shard.f.shed(s.shedKey))
 		shard.mu.Unlock()
 	}
-	if shed > 0 {
-		r.live.Add(-shed)
-		r.sheds.Add(shed)
+	if shed == 0 {
+		return
 	}
+	live := r.live.Add(-shed)
+	r.sheds.Add(shed)
+	r.record(telemetry.Event{
+		Kind:   telemetry.EventShed,
+		Steps:  r.steps.Load(),
+		States: r.states.Load(),
+		Live:   int(live),
+		Depth:  r.maxDepth.Load(),
+	})
 }
 
 // signalInsert wakes idle workers after a placement. The waiters check
 // keeps the common case (everyone busy) lock-free; see the idleCond
 // field comment for why the ordering cannot miss a wakeup.
-func (r *parallelRun) signalInsert() {
+func (r *searchRun) signalInsert() {
 	r.inserts.Add(1)
 	if r.waiters.Load() == 0 {
 		return
 	}
+	r.wakeAll()
+}
+
+// wakeAll wakes every idle worker so it can re-observe a new insert or a
+// terminal condition (done, cancellation, exhaustion).
+func (r *searchRun) wakeAll() {
 	r.idleMu.Lock()
 	r.idleCond.Broadcast()
 	r.idleMu.Unlock()
 }
 
-// wakeAll unconditionally wakes every idle worker so it can re-observe a
-// terminal condition (done, cancellation, exhaustion). Every worker-exit
-// path runs it: a worker only exits when the run is ending, and a
-// sleeping peer must not outlive the run.
-func (r *parallelRun) wakeAll() {
-	r.idleMu.Lock()
-	r.idleCond.Broadcast()
-	r.idleMu.Unlock()
-}
-
-// take pops the next state for w. It returns nil when the run should stop
-// (goal found, budget exhausted, context done, hard error) or when the
-// search space is globally exhausted — every shard empty while no worker
-// holds a state that could refill them. On success the worker is counted
-// busy (incremented before the pop, so a momentarily empty frontier with
-// a state in flight never reads as exhaustion). A worker that finds every
-// shard empty while peers are still running sleeps on idleCond until an
-// insert or a terminal condition wakes it — no spinning.
-func (r *parallelRun) take(w *parallelWorker) *symex.State {
-	for {
-		if r.done.Load() || r.ctx.Err() != nil {
-			return nil
-		}
-		if r.budgetExceeded() {
-			if r.live.Load() == 0 && r.busy.Load() == 0 {
-				// Exhaustion and budget overrun coincide. The sequential
-				// searcher checks the frontier before the budget (its loop
-				// condition), so exhaustion wins there; give it the same
-				// precedence here or the two paths report different
-				// outcomes for the same search.
-				return nil
-			}
-			r.timedOut.Store(true)
-			r.done.Store(true)
-			r.cancel()
-			return nil
-		}
-		// Capture the insert sequence before scanning: any insert after
-		// this point bumps it, so the wait below either sees the bump and
-		// rescans or provably scanned a frontier that already contained
-		// every insert it could have missed.
-		seq := r.inserts.Load()
-		r.busy.Add(1)
-		if st, aged := r.pickBest(w); st != nil {
-			if aged {
-				w.s.agingPicks++
-			}
-			w.picks++
-			r.live.Add(-1)
-			return st
-		}
-		r.busy.Add(-1)
-		if r.live.Load() == 0 && r.busy.Load() == 0 {
-			r.wakeAll() // peers must re-observe the exhaustion
-			return nil
-		}
-		r.idleMu.Lock()
-		r.waiters.Add(1)
-		for r.inserts.Load() == seq && !r.done.Load() && r.ctx.Err() == nil &&
-			!(r.live.Load() == 0 && r.busy.Load() == 0) {
-			r.idleCond.Wait()
-		}
-		r.waiters.Add(-1)
-		r.idleMu.Unlock()
-	}
-}
-
-// pickBest pops one state for w, preserving the sequential search order
-// as closely as sharding allows. Own-shard-first picking (the original
-// design) silently degraded n workers into n near-independent best-first
-// searches over random 1/n slices of the frontier: each worker greedily
-// drained its own shard's best while globally better states sat in a
-// neighbor's, and on priority-sensitive searches (ls4's goal lineage) the
-// aggregate step count *grew* with n — the parallel regression. Instead,
-// ESD picks now choose a virtual queue with the worker's rng (the same
-// queue-selection rule the sequential pickESD applies), peek every
-// shard's best key in that queue, and pop from the shard holding the
-// global minimum. Every live state is in every queue's heap, so one
-// queue's shard heads cover the whole frontier. The peek-then-pop window
-// is racy — a peer can take the peeked state first — but the re-pop takes
-// that shard's next-best, so the order stays approximately global, and
-// the retry loop rescans if the shard drained entirely.
-//
-// The anti-starvation aging pick keeps its cadence per worker (the
-// sequential frontier counts per frontier; with one frontier per run
-// that was the same thing) and drains the first non-empty FIFO in ring
-// order — oldest-of-one-shard rather than oldest-globally, which is
-// enough for the guarantee the FIFO exists for: every state is
-// eventually run.
-func (r *parallelRun) pickBest(w *parallelWorker) (*symex.State, bool) {
-	n := len(r.shards)
-	if r.opts.Strategy != StrategyESD {
-		// DFS/RandomPath have no cross-shard order to preserve: take from
-		// the first non-empty shard in ring order.
-		for i := 0; i < n; i++ {
-			shard := r.shards[(w.id+i)%n]
-			shard.mu.Lock()
-			st, aged := shard.f.pick(w.s.rng)
-			shard.mu.Unlock()
-			if st != nil {
-				return st, aged
-			}
-		}
-		return nil, false
-	}
-	f0 := r.shards[0].f
-	w.pickTick++
-	if f0.schedGuided && w.pickTick%agingPeriod == 0 {
-		for i := 0; i < n; i++ {
-			shard := r.shards[(w.id+i)%n]
-			shard.mu.Lock()
-			st := shard.f.pickFIFO()
-			shard.mu.Unlock()
-			if st != nil {
-				return st, true
-			}
-		}
-		// Every FIFO empty (non-guided queues don't feed them): fall
-		// through to a fitness pick.
-	}
-	q := w.s.rng.Intn(f0.numQueues)
-	for {
-		best := -1
-		var bestKey esdKey
-		for i := 0; i < n; i++ {
-			idx := (w.id + i) % n
-			shard := r.shards[idx]
-			shard.mu.Lock()
-			key, ok := shard.f.peekQueue(q)
-			shard.mu.Unlock()
-			if ok && (best < 0 || key.less(bestKey)) {
-				best, bestKey = idx, key
-			}
-		}
-		if best < 0 {
-			return nil, false
-		}
-		shard := r.shards[best]
-		shard.mu.Lock()
-		st := shard.f.popQueue(q)
-		shard.mu.Unlock()
-		if st != nil {
-			return st, false
-		}
-	}
-}
-
-func (r *parallelRun) budgetExceeded() bool {
-	if r.opts.Budget > 0 && time.Since(r.start) > r.opts.Budget {
+func (r *searchRun) budgetExceeded(now time.Time) bool {
+	if r.opts.Budget > 0 && now.Sub(r.start) > r.opts.Budget {
 		return true
 	}
 	return r.steps.Load() > r.opts.MaxSteps
 }
 
-// runWorker is one worker's life: take a state, run a quantum (which
-// routes forks and survivors back through place), sync the shared
-// counters, repeat.
-func (r *parallelRun) runWorker(w *parallelWorker, wg *sync.WaitGroup) {
-	defer wg.Done()
-	// A worker only exits when the run is ending (found, budget, cancel,
-	// exhaustion, hard error); wake any sleeping peer so it re-observes
-	// the terminal condition instead of waiting for an insert that will
-	// never come.
-	defer r.wakeAll()
-	searchWorkers.Add(1)
-	defer searchWorkers.Add(-1)
-	for {
-		st := r.take(w)
-		if st == nil {
-			return
-		}
-		t0 := time.Now()
-		found, err := w.s.quantum(st, w.res)
-		w.busyNS += time.Since(t0).Nanoseconds()
-		r.steps.Add(w.s.eng.Stats.Steps - w.lastSteps)
-		w.lastSteps = w.s.eng.Stats.Steps
-		r.states.Add(w.s.eng.Stats.States - w.lastStats)
-		w.lastStats = w.s.eng.Stats.States
-		r.busy.Add(-1)
-		if err != nil {
-			if errors.Is(err, symex.ErrEpochChanged) {
-				// The reclaim gate was violated under a live run: a hard
-				// error for the whole race, not just this worker.
-				r.errOnce.Do(func() { r.err = err })
-				r.done.Store(true)
-				r.cancel()
-			}
-			// ErrInterrupted: the VM observed the cancelled run context
-			// mid-quantum; the driver classifies the outcome.
-			return
-		}
-		if found != nil {
-			r.setWinner(w, found)
-			return
-		}
+// sync folds the worker's VM and solver counters into the run's totals
+// (called after every quantum, and once before the first pick).
+func (r *searchRun) sync(s *searcher) {
+	r.steps.Add(s.eng.Stats.Steps - s.lastSteps)
+	s.lastSteps = s.eng.Stats.Steps
+	r.states.Add(s.eng.Stats.States - s.lastStates)
+	s.lastStates = s.eng.Stats.States
+	q := int64(s.sol.Queries - s.base.queries)
+	r.queries.Add(q - s.lastQueries)
+	s.lastQueries = q
+}
+
+// frontierSamplePeriod is the pick-count cadence of flight-recorder
+// frontier snapshots. Keying on picks (not wall time) is what keeps the
+// trace byte-identical across replays of the same seed.
+const frontierSamplePeriod = 256
+
+// observe runs the per-pick hooks: a periodic PhaseSearch progress event,
+// rate-limited to one per ProgressInterval, and a flight-recorder frontier
+// snapshot every frontierSamplePeriod picks. Both read the run's counters.
+// With one worker every field is deterministic under strict replay (only
+// solver cache hits vary with warmth, and those never enter the trace).
+func (r *searchRun) observe(now time.Time) {
+	el := now.Sub(r.start)
+	if el-time.Duration(r.lastProgress.Load()) >= r.opts.ProgressInterval {
+		r.progress(now, el)
+	}
+	if r.opts.Recorder != nil && r.allPicks.Add(1)%frontierSamplePeriod == 0 {
+		r.record(telemetry.Event{
+			Kind:          telemetry.EventFrontier,
+			Steps:         r.steps.Load(),
+			States:        r.states.Load(),
+			Live:          int(r.live.Load()),
+			Depth:         r.maxDepth.Load(),
+			BestDist:      r.bestFit.Load(),
+			SolverQueries: r.queries.Load(),
+		})
 	}
 }
 
-// setWinner records the first goal state and cancels everyone else.
-func (r *parallelRun) setWinner(w *parallelWorker, st *symex.State) {
-	r.winnerMu.Lock()
-	if r.winner == nil {
-		r.winner = st
-		r.winnerW = w.id
-		w.found = true
+// progress emits one periodic progress event (the re-check under mu
+// drops a worker that lost the race to a peer's emission).
+func (r *searchRun) progress(now time.Time, el time.Duration) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if el-time.Duration(r.lastProgress.Load()) < r.opts.ProgressInterval {
+		return
 	}
-	r.winnerMu.Unlock()
-	r.done.Store(true)
-	r.cancel()
-}
-
-// progress emits one driver-side progress/recorder sample from the shared
-// atomics. Per-worker solver counters are deliberately absent: reading
-// them here would race with the workers, and the final Result carries the
-// exact totals.
-func (r *parallelRun) progress(now time.Time) {
-	live := int(r.live.Load())
-	searchFrontier.Observe(int64(live))
-	ev := ProgressEvent{
-		Phase:    PhaseSearch,
-		Time:     now,
-		Elapsed:  now.Sub(r.start),
-		Steps:    r.steps.Load(),
-		States:   r.states.Load(),
-		Live:     live,
-		Depth:    r.maxDepth.Load(),
-		BestDist: r.bestFit.Load(),
+	r.lastProgress.Store(int64(el))
+	live := r.live.Load()
+	searchFrontier.Observe(live)
+	if r.opts.OnProgress == nil {
+		return
 	}
-	if r.opts.OnProgress != nil {
-		r.opts.OnProgress(ev)
-	}
-	r.opts.Recorder.Record(telemetry.Event{
-		Kind:     telemetry.EventFrontier,
-		Steps:    ev.Steps,
-		States:   ev.States,
-		Live:     live,
-		Depth:    ev.Depth,
-		BestDist: ev.BestDist,
+	r.opts.OnProgress(ProgressEvent{
+		Phase:         PhaseSearch,
+		Time:          now,
+		Elapsed:       el,
+		Steps:         r.steps.Load(),
+		States:        r.states.Load(),
+		Live:          int(live),
+		Depth:         r.maxDepth.Load(),
+		BestDist:      r.bestFit.Load(),
+		SolverQueries: int(r.queries.Load()),
 	})
 }
 
-// collect aggregates the quiescent workers into the final Result. Called
-// after every worker goroutine has exited, so reading their structs is
-// race-free.
-func (r *parallelRun) collect(workers []*parallelWorker, n int) *Result {
-	res := &Result{
-		Terminals:  map[symex.StateStatus]int64{},
-		Workers:    n,
-		DedupDrops: r.dedupDrops.Load(),
-		Sheds:      r.sheds.Load(),
+// record appends ev to the flight trace under the run mutex.
+func (r *searchRun) record(ev telemetry.Event) {
+	if r.opts.Recorder == nil {
+		return
 	}
-	for _, w := range workers {
-		est := w.s.eng.Stats
+	r.mu.Lock()
+	r.opts.Recorder.Record(ev)
+	r.mu.Unlock()
+}
+
+// setWinner records the first goal state and cancels everyone else.
+func (r *searchRun) setWinner(s *searcher, st *symex.State) {
+	r.winnerMu.Lock()
+	if r.winner == nil {
+		r.winner = st
+		s.found = true
+	}
+	r.winnerMu.Unlock()
+	r.finish()
+}
+
+// collect aggregates the quiescent workers into the final Result. Called
+// after every worker has exited, so reading their structs is race-free.
+func (r *searchRun) collect() *Result {
+	n := len(r.workers)
+	res := &Result{
+		Found:                r.winner,
+		IntermediateGoalSets: r.pl.nInter,
+		Terminals:            map[symex.StateStatus]int64{},
+		Workers:              n,
+		DedupDrops:           r.dedupDrops.Load(),
+		Sheds:                r.sheds.Load(),
+		MaxDepth:             r.maxDepth.Load(),
+	}
+	for _, s := range r.workers {
+		est := s.eng.Stats
 		res.Steps += est.Steps
 		res.StatesCreated += est.States
 		res.BranchForks += est.BranchForks
 		res.SchedForks += est.SchedForks
 		res.Concretizations += est.Concretizations
 		res.EpochChecks += est.EpochChecks
-		res.SolverQueries += w.s.sol.Queries - w.s.solBase
-		res.SolverHits += w.s.sol.CacheHits - w.solHitsBase
-		res.SolverSharedHits += w.s.sol.SharedHits - w.solSharedBase
-		res.SolverPersistentHits += w.s.sol.PersistentHits - w.solPersistBase
-		res.SolverVerifyRejects += w.s.sol.VerifyRejects - w.solRejectBase
-		res.SolverWallNanos += w.s.sol.WallNanos - w.solWallBase
-		res.AgingPicks += w.s.agingPicks
-		res.StepErrors += w.res.StepErrors
-		res.PrunedCritical += w.res.PrunedCritical
-		res.PrunedInfinite += w.res.PrunedInfinite
-		if w.s.maxDepth > res.MaxDepth {
-			res.MaxDepth = w.s.maxDepth
-		}
-		for k, v := range w.res.Terminals {
+		sc := solverCountsOf(s.sol).sub(s.base)
+		res.SolverQueries += sc.queries
+		res.SolverHits += sc.hits
+		res.SolverSharedHits += sc.shared
+		res.SolverPersistentHits += sc.persist
+		res.SolverVerifyRejects += sc.rejects
+		res.SolverWallNanos += sc.wall
+		res.AgingPicks += s.agingPicks
+		res.StepErrors += s.res.StepErrors
+		res.PrunedCritical += s.res.PrunedCritical
+		res.PrunedInfinite += s.res.PrunedInfinite
+		for k, v := range s.res.Terminals {
 			res.Terminals[k] += v
 		}
-		for _, b := range w.res.OtherBugs {
+		for _, b := range s.res.OtherBugs {
 			if len(res.OtherBugs) < 64 {
 				res.OtherBugs = append(res.OtherBugs, b)
 			}
 		}
-		if w.det != nil {
-			res.RaceFindings = append(res.RaceFindings, w.det.Findings...)
+		if s.det != nil {
+			res.RaceFindings = append(res.RaceFindings, s.det.Findings...)
 		}
-		if dp, ok := w.s.eng.Policy.(*sched.DeadlockPolicy); ok {
+		if dp, ok := s.eng.Policy.(*sched.DeadlockPolicy); ok {
 			res.SnapshotsTaken += dp.SnapshotsTaken
 			res.SnapshotsActivated += dp.SnapshotsActivated
 			res.EagerForks += dp.EagerForks
 		}
-		res.WorkerWall = append(res.WorkerWall, telemetry.WorkerWall{
-			Worker:     w.id,
-			Steps:      est.Steps,
-			States:     est.States,
-			Picks:      w.picks,
-			BusyNS:     w.busyNS,
-			SolverNS:   w.s.sol.WallNanos - w.solWallBase,
-			SharedHits: w.s.sol.SharedHits - w.solSharedBase,
-			Found:      w.found,
-		})
+		if n > 1 {
+			res.WorkerWall = append(res.WorkerWall, telemetry.WorkerWall{
+				Worker:     s.id,
+				Steps:      est.Steps,
+				States:     est.States,
+				Picks:      s.taken,
+				BusyNS:     s.busyNS,
+				SolverNS:   sc.wall,
+				SharedHits: sc.shared,
+				Found:      s.found,
+			})
+		}
 	}
 	res.Pruned = res.PrunedCritical + res.PrunedInfinite
-	res.Found = r.winner
 	res.Duration = time.Since(r.start)
 	if res.Found == nil {
 		switch {
+		case r.preempted:
+			res.Preempted = true
 		case r.timedOut.Load():
-			// Our own budget cancel, not the caller's context.
+			// Our own budget stop, not the caller's context.
 			res.TimedOut = true
 		case r.ctx.Err() != nil:
 			res.TimedOut, res.Cancelled = classifyCtxErr(r.ctx.Err())
@@ -672,6 +652,22 @@ func (r *parallelRun) collect(workers []*parallelWorker, n int) *Result {
 		// Otherwise: genuinely exhausted.
 	}
 	return res
+}
+
+// solverCounts is a snapshot of a solver's cumulative counters; a worker
+// reports its run's share as the difference from its pre-run snapshot.
+type solverCounts struct {
+	queries, hits, shared, persist, rejects int
+	wall                                    int64
+}
+
+func solverCountsOf(sol *solver.Solver) solverCounts {
+	return solverCounts{sol.Queries, sol.CacheHits, sol.SharedHits, sol.PersistentHits, sol.VerifyRejects, sol.WallNanos}
+}
+
+func (c solverCounts) sub(o solverCounts) solverCounts {
+	return solverCounts{c.queries - o.queries, c.hits - o.hits, c.shared - o.shared,
+		c.persist - o.persist, c.rejects - o.rejects, c.wall - o.wall}
 }
 
 // --- cross-worker dedup -----------------------------------------------------

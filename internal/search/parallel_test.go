@@ -72,9 +72,9 @@ func TestParallelFindsListing1(t *testing.T) {
 	}
 }
 
-// TestParallelNormalizesToSequential checks n<=1 runs the sequential
-// searcher (the bit-identity guarantee is "same code", not "equivalent
-// code"; the byte-level golden lives in the root package tests).
+// TestParallelNormalizesToSequential checks n<=1 runs one worker without
+// the parallel bookkeeping (the byte-level golden lives in the root
+// package tests and TestPinnedSequentialTable).
 func TestParallelNormalizesToSequential(t *testing.T) {
 	rep, _ := listing1Report(t)
 	prog := lang.MustCompile("listing1.c", listing1)
@@ -132,7 +132,7 @@ func TestParallelStepCapOutcomeMatchesSequential(t *testing.T) {
 }
 
 // TestParallelSharedCacheReuse attaches the request-scoped shared solver
-// cache and prune memo to a frontier-parallel run and checks the fact
+// cache to a frontier-parallel run and checks the fact
 // flow is visible: definite verdicts get published, and the per-worker
 // reuse attribution sums to the run total.
 func TestParallelSharedCacheReuse(t *testing.T) {
@@ -140,14 +140,12 @@ func TestParallelSharedCacheReuse(t *testing.T) {
 	prog := lang.MustCompile("listing1.c", listing1)
 
 	sc := solver.NewSharedCache()
-	pf := NewPruneFacts()
 	res, err := Synthesize(context.Background(), prog, rep, Options{
 		Strategy:    StrategyESD,
 		Budget:      60 * time.Second,
 		Seed:        1,
 		Parallelism: 4,
 		SharedCache: sc,
-		PruneFacts:  pf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +172,7 @@ func TestParallelSharedCacheReuse(t *testing.T) {
 
 // TestSharedCacheWarmDeterminism is the determinism contract for the
 // shared fact layer: a sequential (n=1-equivalent) run with a warm
-// SharedCache and PruneFacts — pre-filled by an identical prior run —
+// SharedCache — pre-filled by an identical prior run —
 // must stay byte-identical to the cold run in everything deterministic:
 // the flight trace and every replay-stable Result counter. Only wall
 // time and hit counts (which never enter the deterministic surface) may
@@ -184,7 +182,6 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 	prog := lang.MustCompile("listing1.c", listing1)
 
 	sc := solver.NewSharedCache()
-	pf := NewPruneFacts()
 	run := func() (*Result, []telemetry.Event) {
 		rec := telemetry.NewRecorder(0)
 		res, err := Synthesize(context.Background(), prog, rep, Options{
@@ -192,7 +189,6 @@ func TestSharedCacheWarmDeterminism(t *testing.T) {
 			Budget:      60 * time.Second,
 			Seed:        1,
 			SharedCache: sc,
-			PruneFacts:  pf,
 			Recorder:    rec,
 		})
 		if err != nil {

@@ -14,14 +14,14 @@
 // combined with Chess-style preemption bounding for multithreaded programs
 // — the "KC" hybrid of §7.2.
 //
-// With Options.Parallelism > 1 the same best-first search runs
-// frontier-parallel (see parallel.go): the frontier is sharded across
-// that many workers, each with its own symbolic VM and solver over the
-// shared compiled program and distance tables; workers steal from each
-// other's shards, a cross-worker dedup set suppresses re-exploration,
-// and the first worker to reach the goal cancels the rest. Parallelism
-// <= 1 runs the unchanged sequential searcher — the bit-identity
-// guarantee is "same code", not "equivalent code".
+// One driver runs every search (see parallel.go): the frontier is
+// sharded across Options.Parallelism workers, each with its own symbolic
+// VM and solver over the shared compiled program and distance tables.
+// With more than one worker, workers take the globally best state from
+// any shard, a cross-worker dedup set suppresses re-exploration, and the
+// first worker to reach the goal cancels the rest. One worker over one
+// shard is the sequential search: deterministic per seed, and
+// preemptible and resumable through checkpoints.
 package search
 
 import (
@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"esd/internal/cfa"
@@ -119,9 +118,9 @@ type Options struct {
 	Solver *solver.Solver
 
 	// OnProgress, when set, receives phase transitions and periodic
-	// search-progress snapshots. It is called synchronously from the
-	// search loop: implementations must be fast and must not call back
-	// into the search.
+	// search-progress snapshots. It is called synchronously from a search
+	// worker, under the run mutex (never concurrently with itself):
+	// implementations must be fast and must not call back into the search.
 	OnProgress func(ProgressEvent)
 	// Recorder, when non-nil, receives the flight-recorder trace: phase
 	// transitions and frontier snapshots sampled on a deterministic
@@ -132,12 +131,11 @@ type Options struct {
 	// (default 250ms). Phase transitions are always delivered.
 	ProgressInterval time.Duration
 
-	// Parallelism, when > 1, runs the search with that many frontier
-	// workers over one sharded priority frontier (work stealing,
-	// per-worker VMs and solvers, cross-worker state dedup, first-to-goal
-	// cancellation; see parallel.go). 0 or 1 runs the single-threaded
-	// searcher — the deterministic baseline a parallel run's winner is
-	// replayed against.
+	// Parallelism is the number of frontier workers (per-worker VMs and
+	// solvers over one sharded priority frontier, cross-worker state
+	// dedup, first-to-goal cancellation; see parallel.go). 0 or 1 runs one
+	// worker — the deterministic sequential search a parallel run's winner
+	// is replayed against.
 	Parallelism int
 	// Solvers, when non-nil, supplies warm solvers for the extra workers
 	// of a frontier-parallel search (worker 0 uses Solver when set).
@@ -145,19 +143,13 @@ type Options struct {
 	Solvers SolverPool
 
 	// SharedCache, when non-nil, is the request-scoped cross-solver fact
-	// layer: every solver this search uses (the sequential solver, every
-	// frontier worker's) is attached to it for the run and detached
-	// before pooled solvers are returned, so siblings reuse each other's
-	// component verdicts instead of re-solving them. The engine creates
-	// one per synthesis. Sharing is deterministic — verdicts are pure
-	// functions of the component — so attaching it keeps n=1
-	// bit-identical to sequential.
+	// layer: every worker's solver is attached to it for the run and
+	// detached before pooled solvers are returned, so siblings reuse each
+	// other's component verdicts instead of re-solving them. The engine
+	// creates one per synthesis. Sharing is deterministic — verdicts are
+	// pure functions of the component — so a warm layer leaves an n=1 run
+	// bit-identical to a cold one.
 	SharedCache *solver.SharedCache
-	// PruneFacts, when non-nil, is the request-scoped shared memo of
-	// infinite-distance prune verdicts (see PruneFacts). Like SharedCache
-	// it is created by the engine and shared across workers; verdicts
-	// depend on the report's goals, so it must never cross requests.
-	PruneFacts *PruneFacts
 	// PersistCache, when non-nil, is the cross-run persistent solver fact
 	// tier (scoped by the engine to this program's fingerprint). Every
 	// solver the search uses is attached to it for the run, below the
@@ -167,10 +159,10 @@ type Options struct {
 	// so a warm run is bit-identical to a cold one, just faster.
 	PersistCache solver.PersistentCache
 
-	// Preempt, when set, is polled at the top of every sequential
-	// run-loop iteration (never mid-quantum). Returning true stops the
-	// search and serializes it: the Result comes back with Preempted set
-	// and Checkpoint holding everything needed to continue later.
+	// Preempt, when set, is polled before every pick of a one-worker
+	// search (never mid-quantum). Returning true stops the search and
+	// serializes it: the Result comes back with Preempted set and
+	// Checkpoint holding everything needed to continue later.
 	// Frontier-parallel runs ignore it (their interleaving is not
 	// replayable, so there is nothing deterministic to checkpoint).
 	Preempt func() bool
@@ -326,7 +318,7 @@ type Result struct {
 	EagerForks         int
 
 	// Workers is the number of frontier workers that ran the search (1
-	// for the sequential searcher); WorkerWall attributes per-worker wall
+	// for a sequential search); WorkerWall attributes per-worker wall
 	// time and work when Workers > 1. DedupDrops counts forks dropped by
 	// the cross-worker dedup set (0 in sequential runs).
 	Workers    int
@@ -378,24 +370,17 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 	if opts.ProgressInterval == 0 {
 		opts.ProgressInterval = 250 * time.Millisecond
 	}
-	if opts.Parallelism <= 1 {
-		// One worker is the sequential searcher. Normalizing here keeps
-		// the n=1 bit-identity contract trivially true: n<=1 runs the
-		// exact code it always ran.
-		opts.Parallelism = 0
-	}
-	if opts.Parallelism > 0 {
-		if opts.Resume != nil {
+	n := max(opts.Parallelism, 1)
+	resume := opts.Resume
+	if n > 1 {
+		if resume != nil {
 			return nil, fmt.Errorf("search: checkpoint resume requires a sequential search (Parallelism <= 1)")
 		}
 		// Frontier-parallel interleavings are not replayable, so there is
 		// no deterministic frontier to checkpoint: the run is simply not
 		// preemptible and executes to an ordinary outcome.
 		opts.Preempt = nil
-		return synthesizeParallel(ctx, prog, rep, opts)
 	}
-
-	resume := opts.Resume
 	if resume != nil {
 		if err := resume.compatible(prog, opts); err != nil {
 			return nil, err
@@ -427,40 +412,9 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 	if err != nil {
 		return nil, err
 	}
-	sol := opts.Solver
-	if sol == nil {
-		sol = solver.New()
-	}
-	if opts.SharedCache != nil {
-		// Attach the request's shared fact layer for the run and detach
-		// before returning: a pooled solver carrying a stale attachment
-		// would leak one request's facts into the next and pin a dead
-		// cache alive.
-		sol.Shared = opts.SharedCache
-		defer func() { sol.Shared = nil }()
-	}
-	if opts.PersistCache != nil {
-		// Same attach/detach discipline as SharedCache: the persistent
-		// view is scoped to this program's fingerprint, and a pooled
-		// solver must not carry it into another program's run.
-		sol.Persist = opts.PersistCache
-		defer func() { sol.Persist = nil }()
-	}
-	baseQueries, baseHits := sol.Queries, sol.CacheHits
-	baseShared := sol.SharedHits
-	basePersist := sol.PersistentHits
-	baseRejects := sol.VerifyRejects
-	baseWall := sol.WallNanos
-	eng, detector := pl.newVM(ctx, opts, sol)
-	s := newSearcher(pl, ctx, opts, eng, sol, start)
-
-	res := &Result{
-		IntermediateGoalSets: pl.nInter,
-		Terminals:            map[symex.StateStatus]int64{},
-		Workers:              1,
-	}
-	var found *symex.State
-	var timedOut, cancelled, preempted bool
+	r := newSearchRun(ctx, pl, opts, n, start)
+	defer r.release()
+	w0 := r.workers[0]
 	if resume != nil {
 		if err := resume.validatePlan(pl); err != nil {
 			return nil, err
@@ -469,83 +423,35 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 		if err != nil {
 			return nil, err
 		}
-		if err := s.restore(resume, roots, detector); err != nil {
-			return nil, err
-		}
-		resume.restoreResult(res)
-		// Shift the solver baselines by the checkpointed consumption so
-		// the Result and progress events stay cumulative across the chain.
-		baseQueries -= resume.SolverQueries
-		baseHits -= resume.SolverHits
-		baseShared -= resume.SolverSharedHits
-		basePersist -= resume.SolverPersistentHits
-		baseRejects -= resume.SolverVerifyRejects
-		baseWall -= resume.SolverWallNS
-		s.solBase -= resume.SolverQueries
-		emit(PhaseSearch, s.front.size())
-		searchWorkers.Add(1)
-		found, timedOut, cancelled, preempted, err = s.runLoop(res)
-		searchWorkers.Add(-1)
-		if err != nil {
+		if err := r.restore(resume, roots); err != nil {
 			return nil, err
 		}
 	} else {
-		init, err := eng.InitialState()
+		init, err := w0.eng.InitialState()
 		if err != nil {
 			return nil, err
 		}
-		emit(PhaseSearch, 1)
-		searchWorkers.Add(1)
-		found, timedOut, cancelled, preempted, err = s.run(init, res)
-		searchWorkers.Add(-1)
-		if err != nil {
-			return nil, err
-		}
+		r.place(w0, init, nil)
 	}
-	res.Found = found
-	res.TimedOut = timedOut
-	res.Cancelled = cancelled
-	res.Duration = time.Since(start)
-	res.Steps = eng.Stats.Steps
-	res.StatesCreated = eng.Stats.States
-	res.BranchForks = eng.Stats.BranchForks
-	res.SchedForks = eng.Stats.SchedForks
-	res.Concretizations = eng.Stats.Concretizations
-	res.EpochChecks = eng.Stats.EpochChecks
-	res.SolverQueries = sol.Queries - baseQueries
-	res.SolverHits = sol.CacheHits - baseHits
-	res.SolverSharedHits = sol.SharedHits - baseShared
-	res.SolverPersistentHits = sol.PersistentHits - basePersist
-	res.SolverVerifyRejects = sol.VerifyRejects - baseRejects
-	res.SolverWallNanos = sol.WallNanos - baseWall
-	res.Pruned = res.PrunedCritical + res.PrunedInfinite
-	res.AgingPicks = s.agingPicks
-	res.Sheds = s.sheds
-	res.MaxDepth = s.maxDepth
-	if detector != nil {
-		res.RaceFindings = detector.Findings
+	r.sync(w0)
+	emit(PhaseSearch, int(r.live.Load()))
+	r.runWorkers()
+	if r.err != nil {
+		return nil, r.err
 	}
-	if dp, ok := eng.Policy.(*sched.DeadlockPolicy); ok {
-		res.SnapshotsTaken = dp.SnapshotsTaken
-		res.SnapshotsActivated = dp.SnapshotsActivated
-		res.EagerForks = dp.EagerForks
-	}
-	if preempted {
-		res.Preempted = true
+
+	res := r.collect()
+	if res.Preempted {
 		ckStart := time.Now()
-		ck, err := s.buildCheckpoint(res, detector)
-		if err != nil {
-			return nil, err
-		}
-		res.Checkpoint = ck
+		res.Checkpoint = r.checkpoint(res)
 		res.CheckpointNanos = time.Since(ckStart).Nanoseconds()
 	}
-	if found != nil {
+	if res.Found != nil {
 		opts.Recorder.Record(telemetry.Event{
 			Kind:          telemetry.EventFound,
-			Steps:         eng.Stats.Steps,
-			States:        eng.Stats.States,
-			Depth:         s.maxDepth,
+			Steps:         res.Steps,
+			States:        res.StatesCreated,
+			Depth:         res.MaxDepth,
 			SolverQueries: int64(res.SolverQueries),
 		})
 	}
@@ -560,10 +466,9 @@ func Synthesize(ctx context.Context, prog *mir.Program, rep *report.Report, opts
 }
 
 // plan is the shared, read-only front half of a synthesis: goals, static
-// analyses, distance tables, and the virtual-queue layout. A sequential
-// run builds one plan for its one VM; a frontier-parallel run builds one
-// plan and hands it to every worker (cfa.Analysis and dist.Calculator are
-// safe for concurrent readers).
+// analyses, distance tables, and the virtual-queue layout. A run builds
+// one plan and hands it to every worker (cfa.Analysis and dist.Calculator
+// are safe for concurrent readers).
 type plan struct {
 	prog     *mir.Program
 	rep      *report.Report
@@ -684,15 +589,15 @@ func (pl *plan) newVM(ctx context.Context, opts Options, sol *solver.Solver) (*s
 	return eng, detector
 }
 
-// newSearcher wires one searcher over the shared plan and a private VM.
-func newSearcher(pl *plan, ctx context.Context, opts Options, eng *symex.Engine, sol *solver.Solver, start time.Time) *searcher {
+// newSearcher wires one searcher over the shared plan and a private VM;
+// newSearchRun fills in its run, worker index and detector.
+func newSearcher(pl *plan, opts Options, eng *symex.Engine, sol *solver.Solver) *searcher {
 	// The seed source is wrapped in a draw counter so a checkpoint can
 	// record the RNG position; the wrapper draws the identical sequence
 	// (see countingSource).
 	src := &countingSource{src: rand.NewSource(opts.Seed + 1)}
 	return &searcher{
 		opts:        opts,
-		ctx:         ctx,
 		prog:        pl.prog,
 		rep:         pl.rep,
 		eng:         eng,
@@ -710,18 +615,22 @@ func newSearcher(pl *plan, ctx context.Context, opts Options, eng *symex.Engine,
 		rng:         rand.New(src),
 		rngSrc:      src,
 		bestFit:     dist.Infinite,
-		start:       start,
-		solBase:     sol.Queries,
+		res:         &Result{Terminals: map[symex.StateStatus]int64{}},
+		base:        solverCountsOf(sol),
 	}
 }
 
+// searcher is one worker of a search run: a private VM, solver, rng and
+// scoring buffers over the shared plan.
 type searcher struct {
 	opts     Options
-	ctx      context.Context
+	r        *searchRun
+	id       int
 	prog     *mir.Program
 	rep      *report.Report
 	eng      *symex.Engine
 	sol      *solver.Solver
+	det      *race.Detector
 	analyses []*cfa.Analysis
 	calc     *dist.Calculator
 	// schedGuided gates the schedule-distance fitness component and the
@@ -733,8 +642,8 @@ type searcher struct {
 	// shedding decisions).
 	schedGuided bool
 	// scoreGoals, scorer, queues and finalIdx are the plan's (see plan).
-	// The scorer is shared read-only with every worker of a parallel run;
-	// stack and dv are this searcher's own buffers.
+	// The scorer is shared read-only with every worker; stack and dv are
+	// this searcher's own buffers.
 	scoreGoals []mir.Loc
 	scorer     *dist.Scorer
 	queues     [][]int
@@ -748,122 +657,30 @@ type searcher struct {
 	rng        *rand.Rand
 	// rngSrc is rng's underlying draw-counting source (checkpointing).
 	rngSrc *countingSource
+	// bestFit is the best (lowest) final-goal fitness this worker scored.
+	bestFit int64
 
-	// Progress-stream bookkeeping: run start, last periodic emission,
-	// best (lowest) final-goal fitness scored, deepest path explored, and
-	// the warm solver's pre-run query count (events report this run's
-	// delta, matching the final Result numbers).
-	start        time.Time
-	lastProgress time.Time
-	bestFit      int64
-	maxDepth     int64
-	solBase      int
+	// res absorbs the worker's quantum-level counters (terminals, prunes,
+	// step errors, other bugs); collect folds them into the Result. base
+	// is the solver's pre-run counter snapshot (shifted back by a resumed
+	// checkpoint's share, so the Result stays cumulative), and putSolver
+	// returns a pooled solver.
+	res       *Result
+	base      solverCounts
+	putSolver func()
 
-	// front owns the live states: the per-goal virtual priority queues
-	// (heaps with lazy deletion, §3.4 / §6.2), the DFS/RandomPath pool,
-	// and the aging FIFO. Created by run; nil for parallel workers, whose
-	// states live in the shared shards instead.
-	front *queueFrontier
-	// route, when set, diverts insertions (with the state's distance
-	// vector, as insert takes it) to a frontier-parallel run's shared
-	// shards instead of this searcher's own frontier. Workers reuse
-	// quantum/admit/terminal/prunable verbatim through this hook.
-	route func(*symex.State, []int64)
-
-	// Flight-recorder and per-run counters: allPicks drives the
-	// deterministic frontier-sampling cadence across all strategies;
-	// agingPicks and sheds are folded into the Result after the run.
-	allPicks   int
-	agingPicks int64
-	sheds      int64
-}
-
-// frontierSamplePeriod is the pick-count cadence of flight-recorder
-// frontier snapshots. Keying on picks (not wall time) is what keeps the
-// trace byte-identical across replays of the same seed.
-const frontierSamplePeriod = 256
-
-// sampleFrontier records a frontier snapshot every frontierSamplePeriod
-// picks. Every field is deterministic under strict replay: work counters,
-// pool size, depth, best fitness, and the query count (queries are issued
-// deterministically; only cache hits vary with solver warmth, and those
-// never enter the trace).
-func (s *searcher) sampleFrontier() {
-	if s.opts.Recorder == nil {
-		return
-	}
-	s.allPicks++
-	if s.allPicks%frontierSamplePeriod != 0 {
-		return
-	}
-	s.opts.Recorder.Record(telemetry.Event{
-		Kind:          telemetry.EventFrontier,
-		Steps:         s.eng.Stats.Steps,
-		States:        s.eng.Stats.States,
-		Live:          s.front.size(),
-		Depth:         s.maxDepth,
-		BestDist:      s.bestFit,
-		SolverQueries: int64(s.sol.Queries - s.solBase),
-	})
-}
-
-// run drives a fresh search to one of its outcomes: found, space
-// exhausted, timed out (budget or context deadline), cancelled, preempted
-// (Options.Preempt asked for a checkpoint), or a hard error (the epoch
-// guard tripping, which means the reclaim gate was violated).
-func (s *searcher) run(init *symex.State, res *Result) (found *symex.State, timedOut, cancelled, preempted bool, err error) {
-	s.front = newQueueFrontier(s.opts.Strategy, s.schedGuided, len(s.queues))
-	s.insert(init, nil)
-	return s.runLoop(res)
-}
-
-// runLoop is the search loop proper, entered by run with a fresh frontier
-// or by the resume path with a restored one. Preemption is polled at the
-// loop top only — after the ctx/budget checks, before the progress and
-// sampling hooks — so a checkpoint never splits a quantum and the resumed
-// iteration replays the hooks exactly once.
-func (s *searcher) runLoop(res *Result) (found *symex.State, timedOut, cancelled, preempted bool, err error) {
-	for s.front.size() > 0 {
-		now := time.Now()
-		if err := s.ctx.Err(); err != nil {
-			timedOut, cancelled = classifyCtxErr(err)
-			return nil, timedOut, cancelled, false, nil
-		}
-		if s.budgetExceeded(now) {
-			return nil, true, false, false, nil
-		}
-		if s.opts.Preempt != nil && s.opts.Preempt() {
-			return nil, false, false, true, nil
-		}
-		s.maybeProgress(now)
-		s.sampleFrontier()
-		st, aged := s.front.pick(s.rng)
-		if st == nil {
-			return nil, false, false, false, nil
-		}
-		if aged {
-			s.agingPicks++
-		}
-		found, err := s.quantum(st, res)
-		if err != nil {
-			if errors.Is(err, symex.ErrEpochChanged) {
-				// Not a scheduling outcome: the interner was swept under
-				// this live run, every held term is suspect. Surface it.
-				return nil, false, false, false, err
-			}
-			// The VM observed the context mid-quantum (the prompt-
-			// cancellation path for long quanta and solver-heavy steps).
-			timedOut, cancelled = classifyCtxErr(s.ctx.Err())
-			return nil, timedOut, cancelled, false, nil
-		}
-		if found != nil {
-			return found, false, false, false, nil
-		}
-		if s.front.size() > s.opts.MaxStates {
-			s.shedStates()
-		}
-	}
-	return nil, false, false, false, nil
+	// picks is the aging-pick cadence (schedule-guided ESD picks only);
+	// agingPicks counts the picks it diverted to the FIFO. taken, busyNS
+	// and found feed the WorkerWall row; lastSteps, lastStates and
+	// lastQueries are what sync last folded into the run's totals.
+	picks       int64
+	agingPicks  int64
+	taken       int64
+	busyNS      int64
+	found       bool
+	lastSteps   int64
+	lastStates  int64
+	lastQueries int64
 }
 
 // classifyCtxErr maps a context error onto the result flags: deadlines are
@@ -873,45 +690,6 @@ func classifyCtxErr(err error) (timedOut, cancelled bool) {
 		return true, false
 	}
 	return false, true
-}
-
-// maybeProgress emits a periodic PhaseSearch snapshot, rate-limited to one
-// per ProgressInterval.
-func (s *searcher) maybeProgress(now time.Time) {
-	if now.Sub(s.lastProgress) < s.opts.ProgressInterval {
-		return
-	}
-	s.lastProgress = now
-	searchFrontier.Observe(int64(s.front.size()))
-	if s.opts.OnProgress == nil {
-		return
-	}
-	s.opts.OnProgress(ProgressEvent{
-		Phase:         PhaseSearch,
-		Time:          now,
-		Elapsed:       now.Sub(s.start),
-		Steps:         s.eng.Stats.Steps,
-		States:        s.eng.Stats.States,
-		Live:          s.front.size(),
-		Depth:         s.maxDepth,
-		BestDist:      s.bestFit,
-		SolverQueries: s.sol.Queries - s.solBase,
-	})
-}
-
-// insert adds a live state to the frontier — this searcher's own, or the
-// shared shards of a frontier-parallel run when route is set. dv is the
-// state's distance vector when the prune gate already computed it this
-// quantum (nil otherwise: scoring computes it).
-func (s *searcher) insert(st *symex.State, dv []int64) {
-	if st.Steps > s.maxDepth {
-		s.maxDepth = st.Steps
-	}
-	if s.route != nil {
-		s.route(st, dv)
-		return
-	}
-	s.front.insert(st, s.scoreState(st, dv))
 }
 
 // scoreState computes the per-queue ESD keys of a state (nil for the
@@ -937,13 +715,6 @@ func (s *searcher) scoreState(st *symex.State, dv []int64) []esdKey {
 		keys[q] = key
 	}
 	return keys
-}
-
-func (s *searcher) budgetExceeded(now time.Time) bool {
-	if s.opts.Budget > 0 && now.Sub(s.start) > s.opts.Budget {
-		return true
-	}
-	return s.eng.Stats.Steps > s.opts.MaxSteps
 }
 
 // agingPeriod is the cadence of the FIFO aging pick: every fourth pick
@@ -1100,7 +871,7 @@ func (s *searcher) distances(st *symex.State) []int64 {
 // quantum, and a non-nil error only when the VM observed the cancelled
 // context or the epoch guard (every other engine error abandons the state
 // in place).
-func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
+func (s *searcher) quantum(st *symex.State) (*symex.State, error) {
 	for i := 0; i < s.opts.Quantum; i++ {
 		succ, err := s.eng.Step(st)
 		if err != nil {
@@ -1109,7 +880,7 @@ func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
 			}
 			// Engine-level errors abandon the state (they indicate an
 			// internal inconsistency, not a program failure).
-			res.StepErrors++
+			s.res.StepErrors++
 			return nil, nil
 		}
 		if len(succ) == 0 {
@@ -1117,52 +888,52 @@ func (s *searcher) quantum(st *symex.State, res *Result) (*symex.State, error) {
 		}
 		// succ[0] is st (possibly terminal); the rest are forks.
 		for _, f := range succ[1:] {
-			if done := s.admit(f, res); done != nil {
+			if done := s.admit(f); done != nil {
 				return done, nil
 			}
 		}
 		st = succ[0]
 		if st.Status != symex.StateRunning {
-			return s.terminal(st, res), nil
+			return s.terminal(st), nil
 		}
 	}
 	reason, dv := s.prunable(st)
 	if reason != "" {
-		s.countPrune(res, reason)
+		s.countPrune(reason)
 		return nil, nil // statically cannot reach the goal: abandon (§3.2)
 	}
-	s.insert(st, dv)
+	s.r.place(s, st, dv)
 	return nil, nil
 }
 
 // admit inserts a freshly forked state into the pool (or classifies it if
 // it is already terminal).
-func (s *searcher) admit(f *symex.State, res *Result) *symex.State {
+func (s *searcher) admit(f *symex.State) *symex.State {
 	if f.Status != symex.StateRunning {
-		return s.terminal(f, res)
+		return s.terminal(f)
 	}
 	reason, dv := s.prunable(f)
 	if reason != "" {
-		s.countPrune(res, reason)
+		s.countPrune(reason)
 		return nil
 	}
-	s.insert(f, dv)
+	s.r.place(s, f, dv)
 	return nil
 }
 
 // countPrune splits abandoned states by the gate that proved them dead.
-func (s *searcher) countPrune(res *Result, reason string) {
+func (s *searcher) countPrune(reason string) {
 	if reason == pruneCritical {
-		res.PrunedCritical++
+		s.res.PrunedCritical++
 	} else {
-		res.PrunedInfinite++
+		s.res.PrunedInfinite++
 	}
 }
 
 // terminal classifies a finished state: the reported bug, a different bug,
 // or an uninteresting exit.
-func (s *searcher) terminal(st *symex.State, res *Result) *symex.State {
-	res.Terminals[st.Status]++
+func (s *searcher) terminal(st *symex.State) *symex.State {
+	s.res.Terminals[st.Status]++
 	if s.rep.Matches(st) {
 		return st
 	}
@@ -1173,8 +944,8 @@ func (s *searcher) terminal(st *symex.State, res *Result) *symex.State {
 		} else if st.Deadlock != nil {
 			desc = st.Deadlock.String()
 		}
-		if len(res.OtherBugs) < 64 {
-			res.OtherBugs = append(res.OtherBugs, desc)
+		if len(s.res.OtherBugs) < 64 {
+			s.res.OtherBugs = append(s.res.OtherBugs, desc)
 		}
 	}
 	return nil
@@ -1227,26 +998,8 @@ func (s *searcher) prunable(st *symex.State) (string, []int64) {
 	if s.opts.Ablate.NoProximity {
 		return "", nil
 	}
-	// The verdict is a pure function of (live stacks, final goals), so the
-	// shared memo returns exactly what infiniteDistance would compute —
-	// reuse changes no decision, only who pays for it. A memo hit skips the
-	// walk; a live state then computes its vector when it is scored.
-	pf := s.opts.PruneFacts
-	var key expr.StructKey
-	var inf, known bool
-	if pf != nil {
-		key = pruneFactKey(st)
-		inf, known = pf.lookup(key)
-	}
-	var dv []int64
-	if !known {
-		dv = s.distances(st)
-		inf = s.infiniteDistance(dv)
-		if pf != nil {
-			pf.publish(key, inf)
-		}
-	}
-	if inf {
+	dv := s.distances(st)
+	if s.infiniteDistance(dv) {
 		return pruneInfinite, nil
 	}
 	return "", dv
@@ -1265,41 +1018,21 @@ func (s *searcher) infiniteDistance(dv []int64) bool {
 	return false
 }
 
-// shedStates drops the worst states when the pool overflows: keep the half
-// closest to the final goal. Scores are recomputed from the current stacks
-// (a parallel shard sheds on stored insertion keys instead; see
-// queueFrontier.shedWorst).
-func (s *searcher) shedStates() {
+// shedKey ranks a live state for shedding (lower is kept): ESD states by
+// the final-goal key stored at insertion, the baselines — which store no
+// keys — by the same key computed from a fresh distance vector. The
+// baselines' scorer is built on first need rather than for every
+// baseline run.
+func (s *searcher) shedKey(st *symex.State, keys []esdKey) esdKey {
+	if keys != nil {
+		return keys[len(keys)-1]
+	}
 	if s.scorer == nil && !s.opts.Ablate.NoProximity {
-		// The baseline strategies score states only here: build the
-		// tables on first need rather than for every baseline run.
 		s.scorer = s.calc.Scorer(s.scoreGoals)
 	}
-	goals := s.queues[len(s.queues)-1]
-	type scored struct {
-		st *symex.State
-		k  esdKey
+	var dv []int64
+	if s.scorer != nil {
+		dv = s.distances(st)
 	}
-	arr := make([]scored, 0, s.front.size())
-	for st := range s.front.alive {
-		var dv []int64
-		if s.scorer != nil {
-			dv = s.distances(st)
-		}
-		arr = append(arr, scored{st, esdKeyOf(st, dv, goals, s.schedDistance(st))})
-	}
-	sort.Slice(arr, func(i, j int) bool { return arr[i].k.less(arr[j].k) })
-	keep := len(arr) / 2
-	s.sheds += int64(len(arr) - keep)
-	s.opts.Recorder.Record(telemetry.Event{
-		Kind:   telemetry.EventShed,
-		Steps:  s.eng.Stats.Steps,
-		States: s.eng.Stats.States,
-		Live:   keep,
-		Depth:  s.maxDepth,
-	})
-	s.front.reset() // drop backing arrays: shed states must become collectable
-	for i := 0; i < keep; i++ {
-		s.insert(arr[i].st, nil)
-	}
+	return esdKeyOf(st, dv, s.queues[len(s.queues)-1], s.schedDistance(st))
 }

@@ -52,8 +52,9 @@ type Event struct {
 const DefaultRecorderCap = 512
 
 // Recorder is a per-synthesis ring-buffered trace. It is not safe for
-// concurrent use: exactly one search goroutine feeds it (the search loop
-// is single-threaded per synthesis). A nil Recorder is a valid no-op
+// concurrent use: the search records into it under its run mutex, so
+// the workers of a frontier-parallel run never feed it at once. A nil
+// Recorder is a valid no-op
 // receiver, which is what makes the disabled path near-zero cost — call
 // sites record unconditionally and the nil check is the entire overhead.
 type Recorder struct {

@@ -37,9 +37,9 @@ func detJSON(t *testing.T, fr *esd.FlightReport) []byte {
 }
 
 // TestParallelOneIsSequential is the golden n=1 identity: frontier
-// parallelism 1 must run the unchanged sequential searcher, so its
-// flight report and synthesized execution are byte-identical to a plain
-// run of the same seed.
+// parallelism 1 is the default one-worker search, so its flight report
+// and synthesized execution are byte-identical to a plain run of the
+// same seed.
 func TestParallelOneIsSequential(t *testing.T) {
 	eng := esd.New()
 	seq, seqFR := synthReport(t, eng)
