@@ -4,9 +4,9 @@
 //	         [-o exec.json] [-strategy esd|dfs|randpath] [-timeout 60s]
 //	esdsynth -app sqlite [-o exec.json]     # run on a bundled evaluated app
 //	esdsynth -app pipeline -parallel 4      # frontier-parallel search, 4 workers
-//	esdsynth -app ls4 -job ck.json          # Ctrl-C checkpoints to ck.json
+//	esdsynth -app ls4 -job ck.ckpt          # Ctrl-C checkpoints to ck.ckpt
 //	                                        # instead of cancelling
-//	esdsynth -app ls4 -resume ck.json -job ck.json   # continue a checkpointed
+//	esdsynth -app ls4 -resume ck.ckpt -job ck.ckpt   # continue a checkpointed
 //	                                                 # search (repeatable)
 //	esdsynth -app ls4 -cache-dir ~/.cache/esd        # warm cross-run solver cache
 //
@@ -25,9 +25,11 @@
 // result.
 //
 // A -job search interrupted with Ctrl-C is preempted at a deterministic
-// point and serialized to the checkpoint file; resuming it (possibly in a
-// new process) continues the identical search, and the final result is
-// byte-for-byte what the uninterrupted run would have produced.
+// point and serialized to the checkpoint file (binary, schema
+// esd.checkpoint/v2); resuming it (possibly in a new process) continues
+// the identical search, and the final result is byte-for-byte what the
+// uninterrupted run would have produced. -resume also reads the v1 JSON
+// checkpoints older builds wrote.
 //
 // Observability: -trace flight.json records a per-synthesis flight report
 // (phase transitions, sampled frontier snapshots, fork/prune/solver

@@ -406,13 +406,14 @@ func (e *Engine) synthesize(ctx context.Context, prog *Program, rep *BugReport, 
 		// skip the solve phase and the done event — the segment that finally
 		// completes the resumed chain finishes the trace, keeping the chain's
 		// final report byte-identical to an uninterrupted run's.
+		encStart := time.Now()
 		blob, err := res.Checkpoint.Encode()
 		if err != nil {
 			return nil, fmt.Errorf("esd: encoding checkpoint: %w", err)
 		}
 		out.Preempted = true
 		out.Checkpoint = blob
-		out.CheckpointNanos = res.CheckpointNanos
+		out.CheckpointNanos = res.CheckpointNanos + time.Since(encStart).Nanoseconds()
 		if so.Recorder != nil {
 			out.report = buildFlightReport(so, rep, res, 0, time.Since(reqStart))
 		}

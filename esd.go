@@ -138,9 +138,10 @@ type Result struct {
 	// on load — so it survives interner reclaim epochs and process
 	// restarts.
 	Checkpoint []byte
-	// CheckpointNanos is the wall-clock cost of building the checkpoint
-	// (serialization only, not the search), for capacity planning of the
-	// job scheduler's slice length.
+	// CheckpointNanos is the wall-clock cost of producing Checkpoint:
+	// capturing the search's state plus encoding it to bytes (not the
+	// search itself), for capacity planning of the job scheduler's slice
+	// length.
 	CheckpointNanos int64
 	// Err records a per-report failure inside SynthesizeBatch (always nil
 	// on results returned directly by Synthesize, which returns its error).

@@ -8,54 +8,49 @@ import "fmt"
 // possibly in a different process, or in the same process after reclaim
 // sweeps have advanced the interner epoch and evicted the originals.
 //
-// Decoding must NOT re-run the simplifying constructors (Binary, Unary,
-// Ite): a checkpointed term is already a constructor fixed point, but the
-// constructors rewrite *shapes*, and any structural difference between
-// the rebuilt term and the original would change downstream shape-
-// sensitive reasoning (the solver's interval Box, linear folding) and
-// break the resumed run's bit-identity with an uninterrupted one.
-// Reintern therefore interns the recorded shape verbatim.
+// Every interned term is a fixed point of its constructor: rebuilding a
+// node from its (canonical) children through Const, Var, Unary, Binary or
+// Ite returns the node itself. Reintern uses that as its check. It
+// rebuilds each recorded node through its constructor and accepts it only
+// when the result has exactly the recorded op, constant, name and child
+// pointers. A shape no constructor makes (add(1, 2), a binary node that
+// carries a name) would alias its simplified form under a different
+// pointer and break pointer equality, so it is rejected instead.
 
-// Reintern returns the canonical interned node for an exact recorded
-// shape. It is intended solely for decoding serialized terms: the shape
-// must have been produced by this package's constructors at encode time
-// (i.e. it is already simplified and canonical), and children must
-// already be reinterned. Feeding it shapes that a constructor would have
-// rewritten creates non-canonical nodes that alias their simplified
-// forms under a different pointer, silently breaking pointer equality.
+// Reintern returns the canonical interned node for a recorded shape whose
+// children are already reinterned, or an error when no constructor
+// produces that shape.
 func Reintern(op Op, c int64, name string, a, b, t, f *Expr) (*Expr, error) {
+	var e *Expr
 	switch op {
 	case OpConst:
-		if a != nil || b != nil || t != nil || f != nil || name != "" {
-			return nil, fmt.Errorf("expr: malformed const shape")
-		}
-		// Route through the constructor for the small-constant fast path;
-		// Const performs no rewriting, so the shape is preserved.
-		return Const(c), nil
+		e = Const(c)
 	case OpVar:
 		if name == "" {
 			return nil, fmt.Errorf("expr: var shape with empty name")
 		}
-		if a != nil || b != nil || t != nil || f != nil {
-			return nil, fmt.Errorf("expr: malformed var shape")
-		}
-		return Var(name), nil
+		e = Var(name)
 	case OpNeg, OpNot, OpBNot:
-		if a == nil || b != nil || t != nil || f != nil {
+		if a == nil {
 			return nil, fmt.Errorf("expr: malformed unary %s shape", op)
 		}
-		return intern(op, 0, "", a, nil, nil, nil), nil
+		e = Unary(op, a)
 	case OpIte:
-		if a == nil || t == nil || f == nil || b != nil {
+		if a == nil || t == nil || f == nil {
 			return nil, fmt.Errorf("expr: malformed ite shape")
 		}
-		return intern(OpIte, 0, "", a, nil, t, f), nil
+		e = Ite(a, t, f)
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr, OpXor, OpShl, OpShr,
 		OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpLAnd, OpLOr:
-		if a == nil || b == nil || t != nil || f != nil {
+		if a == nil || b == nil {
 			return nil, fmt.Errorf("expr: malformed binary %s shape", op)
 		}
-		return intern(op, 0, "", a, b, nil, nil), nil
+		e = Binary(op, a, b)
+	default:
+		return nil, fmt.Errorf("expr: unknown op %d in serialized term", int(op))
 	}
-	return nil, fmt.Errorf("expr: unknown op %d in serialized term", int(op))
+	if e.Op != op || e.C != c || e.Name != name || e.A != a || e.B != b || e.T != t || e.F != f {
+		return nil, fmt.Errorf("expr: serialized %s term is not in canonical form", op)
+	}
+	return e, nil
 }

@@ -88,7 +88,7 @@ type Job struct {
 	Resumes     int `json:"resumes,omitempty"`
 	Preemptions int `json:"preemptions,omitempty"`
 	// CheckpointBytes and CheckpointNS describe the latest checkpoint:
-	// its encoded size and the wall-clock cost of building it.
+	// its encoded size and the wall-clock cost of capturing and encoding it.
 	CheckpointBytes int   `json:"checkpoint_bytes,omitempty"`
 	CheckpointNS    int64 `json:"checkpoint_ns,omitempty"`
 	// PeakInternerBytes is the largest process interner footprint observed

@@ -27,7 +27,7 @@ var (
 	jobsCheckpointBytes = telemetry.NewHistogram("esd_jobs_checkpoint_bytes",
 		"Encoded size of persisted job checkpoints.", 1)
 	jobsCheckpointSeconds = telemetry.NewHistogram("esd_jobs_checkpoint_duration_seconds",
-		"Wall-clock cost of building one search checkpoint.", 1e-9)
+		"Wall-clock cost of capturing and encoding one search checkpoint.", 1e-9)
 	jobsRecovered = telemetry.NewCounter("esd_jobs_recovered_total",
 		"Jobs re-enqueued from the store at startup (crash or restart recovery).")
 )
@@ -35,7 +35,8 @@ var (
 // Outcome is what a Runner reports for one slice of a job.
 type Outcome struct {
 	// Preempted: the slice ended at the preempt hook; Checkpoint is the
-	// job's serialized progress and CheckpointNS what building it cost.
+	// job's serialized progress and CheckpointNS what capturing and
+	// encoding it cost.
 	Preempted    bool
 	Checkpoint   []byte
 	CheckpointNS int64

@@ -1,6 +1,8 @@
 package search
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -35,8 +37,19 @@ import (
 // where slice *length* feeds rng.Intn — dead pool slots are kept as
 // explicit tombstones so the resumed draw sequence matches.
 
-// CheckpointSchema versions the checkpoint layout.
-const CheckpointSchema = "esd.checkpoint/v1"
+// CheckpointSchema versions the checkpoint layout. Encode writes it as
+// a header line followed by the checkpoint as one encoding/gob value
+// (schema v2). A checkpoint whose first byte is '{' is the v1 layout, the
+// same struct as JSON, which DecodeCheckpoint still reads so job stores
+// and -job files written by older builds keep resuming; the json tags on
+// Checkpoint and the symex Serial structs name that layout's fields.
+const CheckpointSchema = "esd.checkpoint/v2"
+
+// checkpointSchemaV1 is the JSON layout's schema string.
+const checkpointSchemaV1 = "esd.checkpoint/v1"
+
+// checkpointHeader starts every v2 checkpoint.
+var checkpointHeader = []byte(CheckpointSchema + "\n")
 
 // HeapSlot is one serialized virtual-queue heap entry: a root index and
 // the fitness it was inserted with (the entry's ID tie-break is the
@@ -134,20 +147,51 @@ type Checkpoint struct {
 	PolPreemptions        int `json:"pol_preemptions,omitempty"`
 }
 
-// Encode marshals the checkpoint.
+// Encode writes the checkpoint in the v2 layout: the schema header, then
+// one gob value.
 func (ck *Checkpoint) Encode() ([]byte, error) {
-	return json.Marshal(ck)
+	var buf bytes.Buffer
+	buf.Write(checkpointHeader)
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
-// DecodeCheckpoint unmarshals a checkpoint produced by Encode.
+// DecodeCheckpoint reads a checkpoint produced by Encode (v2) or by an
+// older build's JSON Encode (v1). Any other input, and any bytes left
+// after the v2 gob value, are rejected.
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	ck := &Checkpoint{}
-	if err := json.Unmarshal(data, ck); err != nil {
-		return nil, fmt.Errorf("search: decoding checkpoint: %w", err)
+	schema := CheckpointSchema
+	switch {
+	case bytes.HasPrefix(data, checkpointHeader):
+		// A bytes.Reader is an io.ByteReader, so gob reads exactly the
+		// value's messages and r.Len() is what follows them.
+		r := bytes.NewReader(data[len(checkpointHeader):])
+		if err := gob.NewDecoder(r).Decode(ck); err != nil {
+			return nil, fmt.Errorf("search: decoding checkpoint: %w", err)
+		}
+		if r.Len() != 0 {
+			return nil, fmt.Errorf("search: decoding checkpoint: %d trailing bytes", r.Len())
+		}
+	case len(data) > 0 && data[0] == '{':
+		if err := json.Unmarshal(data, ck); err != nil {
+			return nil, fmt.Errorf("search: decoding checkpoint: %w", err)
+		}
+		schema = checkpointSchemaV1
+	default:
+		return nil, fmt.Errorf("search: not a checkpoint (no %q header)", CheckpointSchema)
 	}
-	if ck.Schema != CheckpointSchema {
-		return nil, fmt.Errorf("search: unsupported checkpoint schema %q (want %q)", ck.Schema, CheckpointSchema)
+	if ck.Schema != schema {
+		return nil, fmt.Errorf("search: unsupported checkpoint schema %q (want %q)", ck.Schema, schema)
 	}
+	if ck.Pool == nil {
+		return nil, fmt.Errorf("search: checkpoint has no state pool")
+	}
+	// The rest of the package checks one schema string; a v1 body carries
+	// the same fields.
+	ck.Schema = CheckpointSchema
 	return ck, nil
 }
 

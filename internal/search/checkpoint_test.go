@@ -1,13 +1,16 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"esd/internal/expr"
 	"esd/internal/lang"
 	"esd/internal/symex"
 	"esd/internal/telemetry"
@@ -368,30 +371,144 @@ func TestCheckpointPreemptStress(t *testing.T) {
 	}
 }
 
-// TestCheckpointFixtureResumes resumes a checkpoint committed as bytes
-// (listing1 preempted at its fifth poll) and requires the result to equal
-// the uninterrupted run: a job store written by an earlier build must keep
-// resuming identically after an upgrade.
+// Checkpoint fixtures: listing1 preempted at its fifth poll, written by
+// Encode in the v2 layout and by an earlier build's JSON Encode (v1).
+const (
+	fixtureV1 = "testdata/listing1_preempt5.ckpt.json"
+	fixtureV2 = "testdata/listing1_preempt5.ckpt"
+)
+
+func readFixture(tb testing.TB, path string) []byte {
+	tb.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// TestCheckpointFixtureResumes resumes checkpoints committed as bytes and
+// requires each result to equal the uninterrupted run: a job store
+// written by an earlier build must keep resuming identically after an
+// upgrade, whichever layout wrote it.
 func TestCheckpointFixtureResumes(t *testing.T) {
 	golden := runUninterrupted(t)
-	blob, err := os.ReadFile("testdata/listing1_preempt5.ckpt.json")
+	for _, tc := range []struct{ name, path string }{{"v1", fixtureV1}, {"v2", fixtureV2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := DecodeCheckpoint(readFixture(t, tc.path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, _ := listing1Report(t)
+			prog := lang.MustCompile("listing1.c", listing1)
+			rec := telemetry.NewRecorder(0)
+			opts := checkpointOptions(rec)
+			opts.Resume = ck
+			res, err := Synthesize(context.Background(), prog, rep, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := summarize(t, res, rec); got != golden {
+				t.Fatalf("resumed fixture diverged from golden:\ngot:\n%s\n---\nwant:\n%s", got, golden)
+			}
+		})
+	}
+}
+
+// TestCheckpointDecodeRejects feeds DecodeCheckpoint damaged and foreign
+// bytes: each must be refused with an error, not decoded into a
+// checkpoint that resumes something else.
+func TestCheckpointDecodeRejects(t *testing.T) {
+	v1 := readFixture(t, fixtureV1)
+	v2 := readFixture(t, fixtureV2)
+	body := v2[len(checkpointHeader):]
+
+	ck, err := DecodeCheckpoint(v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := DecodeCheckpoint(blob)
+	ck.Schema = "esd.checkpoint/v9"
+	foreign, err := ck.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, _ := listing1Report(t)
+
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"empty", nil},
+		{"truncated v2", v2[:len(v2)/2]},
+		{"header only", checkpointHeader},
+		{"v2 with trailing bytes", append(append([]byte(nil), v2...), 0)},
+		{"v2 followed by a second checkpoint", append(append([]byte(nil), v2...), body...)},
+		{"gob without the header", body},
+		{"unknown header line", append([]byte("esd.checkpoint/v3\n"), body...)},
+		{"unknown schema in a v2 body", foreign},
+		{"unknown schema in a v1 body", bytes.Replace(v1, []byte(checkpointSchemaV1), []byte("esd.checkpoint/v9"), 1)},
+		{"v1 body without a pool", []byte(`{"schema":"esd.checkpoint/v1"}`)},
+		{"truncated v1", v1[:len(v1)/2]},
+	}
+	for _, tc := range cases {
+		if _, err := DecodeCheckpoint(tc.data); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+
+	// A well-formed stream can still record a term no constructor makes;
+	// the pool decode must refuse add(1, 2).
+	forged, err := DecodeCheckpoint(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(forged.Pool.Exprs)
+	forged.Pool.Exprs = append(forged.Pool.Exprs,
+		symex.SerialExpr{Op: int(expr.OpConst), C: 1},
+		symex.SerialExpr{Op: int(expr.OpConst), C: 2},
+		symex.SerialExpr{Op: int(expr.OpAdd), A: n + 1, B: n + 2})
+	if _, err := forged.Pool.Decode(lang.MustCompile("listing1.c", listing1)); err == nil {
+		t.Error("pool with a forged add(1, 2) term decoded without error")
+	}
+}
+
+// FuzzDecodeCheckpoint feeds DecodeCheckpoint arbitrary bytes. It must
+// never panic; a checkpoint it accepts must survive Encode and decode
+// again to a deeply equal value; and its pool must decode against
+// listing1 to states or an error, never a panic. The seeds are the two
+// fixtures plus a truncated and an overlong v2 blob.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	v1 := readFixture(f, fixtureV1)
+	v2 := readFixture(f, fixtureV2)
+	f.Add(v1)
+	f.Add(v2)
+	f.Add(v2[:len(v2)/2])
+	f.Add(append(append([]byte(nil), v2...), 0))
 	prog := lang.MustCompile("listing1.c", listing1)
-	rec := telemetry.NewRecorder(0)
-	opts := checkpointOptions(rec)
-	opts.Resume = ck
-	res, err := Synthesize(context.Background(), prog, rep, opts)
-	if err != nil {
-		t.Fatal(err)
+	roundTrip := func(t *testing.T, ck *Checkpoint) *Checkpoint {
+		blob, err := ck.Encode()
+		if err != nil {
+			t.Fatalf("re-encoding an accepted checkpoint: %v", err)
+		}
+		out, err := DecodeCheckpoint(blob)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded checkpoint: %v", err)
+		}
+		return out
 	}
-	if got := summarize(t, res, rec); got != golden {
-		t.Fatalf("resumed fixture diverged from golden:\ngot:\n%s\n---\nwant:\n%s", got, golden)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := DecodeCheckpoint(data)
+		if err != nil {
+			return
+		}
+		want := ck
+		if data[0] == '{' {
+			// JSON tells an empty list from an absent one and gob does
+			// not, so a v1 input is compared from its first re-encoding.
+			want = roundTrip(t, ck)
+		}
+		if got := roundTrip(t, want); !reflect.DeepEqual(want, got) {
+			t.Fatalf("checkpoint changed across Encode and DecodeCheckpoint")
+		}
+		_, _ = ck.Pool.Decode(prog)
+	})
 }

@@ -249,10 +249,10 @@ type Result struct {
 	// opposed to the budget running out or the space being exhausted).
 	Cancelled bool
 	// Preempted reports that Options.Preempt stopped the search;
-	// Checkpoint then holds the serialized run and CheckpointNanos the
-	// wall time spent serializing it. All counters below are cumulative
-	// across a preempt/resume chain (a resumed Result reads as if the
-	// run had never stopped).
+	// Checkpoint then holds the captured run and CheckpointNanos the
+	// wall time spent capturing it (encoding it to bytes is the caller's
+	// cost). All counters below are cumulative across a preempt/resume
+	// chain (a resumed Result reads as if the run had never stopped).
 	Preempted       bool
 	Checkpoint      *Checkpoint
 	CheckpointNanos int64

@@ -16,7 +16,8 @@ import (
 //
 //   - interned terms: encoded child-first into one table, rebuilt through
 //     expr.Reintern so the decoded nodes are canonical under the current
-//     interner (checkpoints survive reclaim epochs and process restarts);
+//     interner (checkpoints survive reclaim epochs and process restarts)
+//     and a recorded shape no constructor makes is rejected;
 //   - COW objects: forked states share Object pointers until first write,
 //     and the table dedups by pointer — decoded address spaces start with
 //     empty ownership, so the first write after resume clones exactly as
